@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -77,6 +78,14 @@ def _optimized_cell(kernel, n: int, seed: int, mc_samples: int,
     return report.value, failed, info
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: the default table worker count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity query on this platform
+        return os.cpu_count() or 1
+
+
 def _table_values(kernel_id: str, mode: str, n_list, d_list, base_seed: int,
                   mc_samples: int, max_iters: int | None, threads: int | None):
     jobs = [(n, d) for n in n_list for d in d_list]
@@ -92,6 +101,7 @@ def _table_values(kernel_id: str, mode: str, n_list, d_list, base_seed: int,
         value, failed, _ = _optimized_cell(kernel, n, seed, mc_samples, max_iters)
         return value, failed
 
+    threads = threads or _usable_cores()
     if threads == 1:
         results = [run(job) for job in jobs]
     else:
@@ -239,11 +249,17 @@ def _check_lines() -> list[tuple[str, bool, str]]:
     res = cond1_functional(prob, grid) / grid.n**2
     checks.append(("canonical grid annihilation", res < 1e-9, f"residual {res:.2e}"))
 
-    kern = PeriodicKernel("exp", 2)
-    pts = uniform_points(11, 24, 2)
-    diff = abs(physical_error(kern, pts, "exact").squared_value
-               - periodic_error(kern, pts).squared_value)
-    checks.append(("physical vs fourier closed form", diff < 1e-12, f"|diff| = {diff:.2e}"))
+    # on a rank-1 lattice y_n = frac(n z / N) every difference y_n - y_m is
+    # again a lattice point, so the Gram mean is (1/N) sum_n K(y_n, 0)
+    n, dim = 200, 4
+    lat = np.mod(np.outer(np.arange(n), [1, 19, 47, 101]) / n, 1.0)
+    worst = 0.0
+    for fam in _k.FAMILIES:
+        kern = PeriodicKernel(fam, dim)
+        ref = float(kern.elementwise(lat, np.zeros_like(lat)).mean())
+        worst = max(worst, abs(kern.pair_mean(lat) - ref) / ref)
+    checks.append(("gram mean vs rank-1 lattice sum", worst < 1e-13,
+                   f"max rel diff {worst:.2e}, N={n}, D={dim}"))
 
     return checks
 
@@ -295,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma list of dimensions")
     p_table.add_argument("--format", choices=("csv", "markdown"), default="markdown")
     p_table.add_argument("--threads", type=int, default=None,
-                         help="worker threads over table cells (default: machine)")
+                         help="worker threads over table cells (default: usable cores)")
     p_table.set_defaults(func=cmd_table)
 
     p_points = sub.add_parser("points", help="write one point set as CSV")

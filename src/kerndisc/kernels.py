@@ -63,6 +63,10 @@ __all__ = [
 
 FAMILIES = ("exp", "mq", "gauss", "trunc")
 
+# edge of the square Gram tiles in Kernel.pair_mean; 128 x 128 doubles
+# keep a tile's temporaries in cache
+_GRAM_TILE = 128
+
 
 def erfinv(u):
     """Inverse error function on (-1, 1), odd by construction."""
@@ -71,6 +75,16 @@ def erfinv(u):
         raise ValueError("erfinv argument must satisfy |u| < 1")
     out = np.sign(arr) * special.erfinv(np.abs(arr))
     return float(out) if np.isscalar(u) or arr.ndim == 0 else out
+
+
+def _theta3_terms(q: float) -> list[float]:
+    """q^{k^2} for k = 1, 2, ... while the term is at least 1e-17."""
+    terms = []
+    k = 1
+    while q ** (k * k) >= 1e-17:
+        terms.append(q ** (k * k))
+        k += 1
+    return terms
 
 
 def theta3(z, q: float):
@@ -83,10 +97,8 @@ def theta3(z, q: float):
         raise ValueError("nome q must lie in [0, 1)")
     z = np.asarray(z, dtype=float)
     out = np.ones_like(z)
-    k = 1
-    while q ** (k * k) >= 1e-17:
-        out = out + 2.0 * q ** (k * k) * np.cos(2.0 * k * z)
-        k += 1
+    for k, w in enumerate(_theta3_terms(q), start=1):
+        out = out + 2.0 * w * np.cos(2.0 * k * z)
     return float(out) if out.ndim == 0 else out
 
 
@@ -94,10 +106,8 @@ def _theta3_prime(z, q: float):
     # d/dz of theta3: -2 sum 2k q^{k^2} sin(2kz)
     z = np.asarray(z, dtype=float)
     out = np.zeros_like(z)
-    k = 1
-    while q ** (k * k) >= 1e-17:
-        out = out - 4.0 * k * q ** (k * k) * np.sin(2.0 * k * z)
-        k += 1
+    for k, w in enumerate(_theta3_terms(q), start=1):
+        out = out - 4.0 * k * w * np.sin(2.0 * k * z)
     return out
 
 
@@ -225,16 +235,31 @@ class Kernel:
     def pair_mean(self, coords: np.ndarray) -> float:
         """Mean of the full kernel matrix on one point set.
 
-        Column-tiled so the per-dimension temporaries stay in cache; the
-        tile size is fixed for bit-reproducible summation order.
+        The kernel is symmetric, so only the square tiles on or above the
+        diagonal are evaluated and each off-diagonal tile counts twice.
+        Tiles come from ``gram_block`` over the per-point data of
+        ``gram_setup``; the tile size is fixed, so the summation order,
+        and with it every digit of the result, depends on N alone.
+        Temporaries stay O(tile^2 + N D).
         """
         coords = np.asarray(coords, dtype=float)
         n = coords.shape[0]
+        setup = self.gram_setup(coords)
+        tiles = [slice(lo, min(lo + _GRAM_TILE, n)) for lo in range(0, n, _GRAM_TILE)]
         total = 0.0
-        for lo in range(0, n, 64):
-            hi = min(lo + 64, n)
-            total += float(self.pairwise(coords, coords[lo:hi]).sum())
+        for i, rows in enumerate(tiles):
+            total += float(self.gram_block(setup, rows, rows).sum())
+            for cols in tiles[i + 1:]:
+                total += 2.0 * float(self.gram_block(setup, rows, cols).sum())
         return total / (n * n)
+
+    def gram_setup(self, coords: np.ndarray):
+        """Per-point data that every Gram tile of one point set reads."""
+        return coords
+
+    def gram_block(self, setup, rows: slice, cols: slice) -> np.ndarray:
+        """Kernel matrix between the points in ``rows`` and in ``cols``."""
+        return self.pairwise(setup[rows], setup[cols])
 
     def _validate_point(self, p) -> np.ndarray:
         p = np.atleast_1d(np.asarray(p, dtype=float))
@@ -315,6 +340,7 @@ class PeriodicKernel(Kernel):
             self.tau = _per_tau_trunc(dim)
         elif family == "gauss":
             self.q = _per_q_gauss(dim)
+            self._theta_weights = _theta3_terms(self.q)
         else:
             self.q = _per_q_mq(dim)
 
@@ -347,6 +373,103 @@ class PeriodicKernel(Kernel):
             return -(1.0 - q * q) * 4.0 * math.pi * q * np.sin(2.0 * math.pi * f) / (denom * denom)
         tau = self.tau
         return tau * tau * ((f > 1.0 - 1.0 / tau).astype(float) - (f < 1.0 / tau).astype(float))
+
+    # factor blocks ---------------------------------------------------------
+
+    def gram_setup(self, coords: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per-point data of ``factor_block``, as (D, N) arrays.
+
+        mq and gauss: (cos 2 pi y, sin 2 pi y); their factors are
+        functions of c = cos 2 pi (x - y), which angle addition builds
+        from these.  exp and trunc: (y mod 1,); their factors are even
+        about f = 1/2, so functions of |x - y| on reduced coordinates.
+        """
+        t = np.mod(np.asarray(coords, dtype=float).T, 1.0)
+        if self.family in ("mq", "gauss"):
+            angle = 2.0 * math.pi * t
+            return np.cos(angle), np.sin(angle)
+        return (t,)
+
+    def _cos_block(self, setup, d: int, rows: slice, cols: slice) -> np.ndarray:
+        cos, sin = setup
+        c = np.multiply.outer(cos[d, rows], cos[d, cols])
+        c += np.multiply.outer(sin[d, rows], sin[d, cols])
+        return c
+
+    def factor_block(self, setup, d: int, rows: slice, cols: slice) -> np.ndarray:
+        """chi(x_d - y_d) for x in ``rows`` and y in ``cols`` of a set-up point set."""
+        if self.family == "mq":
+            q = self.q
+            den = self._cos_block(setup, d, rows, cols)
+            den *= -2.0 * q
+            den += 1.0 + q * q
+            return np.divide(1.0 - q * q, den, out=den)
+        if self.family == "gauss":
+            # theta_3 = 1 + 2 sum q^{k^2} T_k(c), T_{k+1} = 2c T_k - T_{k-1},
+            # with the cut-off of theta3
+            c = self._cos_block(setup, d, rows, cols)
+            weights = self._theta_weights
+            out = 2.0 * weights[0] * c
+            out += 1.0
+            if len(weights) > 1:
+                two_c = 2.0 * c
+                t_prev, t_k = np.ones_like(c), c
+                for w in weights[1:]:
+                    t_prev, t_k = t_k, two_c * t_k - t_prev
+                    out += (2.0 * w) * t_k
+            return out
+        (t,) = setup
+        tau = self.tau
+        g = np.subtract.outer(t[d, rows], t[d, cols])
+        np.abs(g, out=g)
+        g *= tau
+        if self.family == "exp":
+            # (tau/2) cosh(tau (|x - y| - 1/2)) / sinh(tau/2)
+            g -= tau / 2.0
+            np.cosh(g, out=g)
+            g *= (tau / 2.0) / math.sinh(tau / 2.0)
+            return g
+        # tau [(1 - h)_+ + (h - (tau - 1))_+], h = tau |x - y| held in g
+        hat = 1.0 - g
+        np.maximum(hat, 0.0, out=hat)
+        g -= tau - 1.0
+        np.maximum(g, 0.0, out=g)
+        g += hat
+        g *= tau
+        return g
+
+    def factor_prime_block(self, setup, d: int, rows: slice, cols: slice) -> np.ndarray:
+        """d/dt chi(t) at t = x_d - y_d, the block of ``factor_block``."""
+        if self.family in ("exp", "trunc"):
+            (t,) = setup
+            return self.factor_prime(np.subtract.outer(t[d, rows], t[d, cols]))
+        cos, sin = setup
+        c = self._cos_block(setup, d, rows, cols)
+        # sin 2 pi (x - y)
+        s = np.multiply.outer(sin[d, rows], cos[d, cols])
+        s -= np.multiply.outer(cos[d, rows], sin[d, cols])
+        if self.family == "mq":
+            q = self.q
+            den = 1.0 + q * q - 2.0 * q * c
+            return -(1.0 - q * q) * 4.0 * math.pi * q * s / (den * den)
+        # pi theta_3'(pi t) = -4 pi sum k q^{k^2} sin(2 pi k t), and
+        # sin(2 pi k t) = s U_{k-1}(c), U_k = 2c U_{k-1} - U_{k-2}
+        two_c = 2.0 * c
+        u_prev, u_k = np.zeros_like(c), np.ones_like(c)
+        acc = np.zeros_like(c)
+        for k, w in enumerate(self._theta_weights, start=1):
+            if k > 1:
+                u_prev, u_k = u_k, two_c * u_k - u_prev
+            acc += (k * w) * u_k
+        acc *= s
+        acc *= -4.0 * math.pi
+        return acc
+
+    def gram_block(self, setup, rows: slice, cols: slice) -> np.ndarray:
+        out = self.factor_block(setup, 0, rows, cols)
+        for d in range(1, self.dim):
+            out *= self.factor_block(setup, d, rows, cols)
+        return out
 
     def pairwise(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -456,6 +579,12 @@ class TransportedKernel(Kernel):
 
     def pairwise(self, x, y):
         return self.kernel_mapped(self.transport.apply(x), self.transport.apply(y))
+
+    def gram_setup(self, coords):
+        return self.transport.apply(coords)
+
+    def gram_block(self, setup, rows, cols):
+        return self.kernel_mapped(setup[rows], setup[cols])
 
     def elementwise(self, x, y):
         u = self.transport.apply(x)

@@ -204,12 +204,6 @@ def enumerate_decreasing(profile: CoefficientProfile, count: int) -> list[Lattic
                 mags.append(k)
                 weights.append(-negw)
 
-    def coeff_of(ranks: tuple[tuple[int, int], ...]) -> float:
-        c = 1.0
-        for _, j in ranks:
-            c *= weights[j]
-        return c
-
     ensure_rank(1)
     out: list[LatticeTerm] = []
     # heap entries: (-coeff, tie_key(rank vector), ranks)
@@ -217,17 +211,37 @@ def enumerate_decreasing(profile: CoefficientProfile, count: int) -> list[Lattic
     heap = [(-1.0, _tie_key(start), start)]
     seen = {start}
 
+    def push(key: tuple[tuple[int, int], ...], coeff: float) -> None:
+        if key not in seen:
+            seen.add(key)
+            heapq.heappush(heap, (-coeff, _tie_key(key), key))
+
     def push_neighbors(ranks: tuple[tuple[int, int], ...]) -> None:
-        rank_map = dict(ranks)
-        for d in range(dim):
-            j = rank_map.get(d, 0)
-            ensure_rank(j + 1)
-            nxt = dict(rank_map)
-            nxt[d] = j + 1
-            key = tuple(sorted(nxt.items()))
-            if key not in seen:
-                seen.add(key)
-                heapq.heappush(heap, (-coeff_of(key), _tie_key(key), key))
+        # each successor raises one dimension's rank by one; its key is
+        # spliced into the sorted rank tuple, and its coefficient is the
+        # product of its weights in key order.  The dimensions between two
+        # nonzero entries all splice (d, 1) in at the same place, so they
+        # share one coefficient.
+        ensure_rank(max((j for _, j in ranks), default=0) + 1)
+        prefix = [1.0]
+        for _, j in ranks:
+            prefix.append(prefix[-1] * weights[j])
+        lo = 0
+        for p, end in enumerate([d for d, _ in ranks] + [dim]):
+            head, tail = ranks[:p], ranks[p:]
+            if lo < end:
+                c = prefix[p] * weights[1]
+                for _, j in tail:
+                    c *= weights[j]
+                for d in range(lo, end):
+                    push(head + ((d, 1),) + tail, c)
+            if end < dim:
+                j = ranks[p][1]
+                c = prefix[p] * weights[j + 1]
+                for _, jj in tail[1:]:
+                    c *= weights[jj]
+                push(head + ((end, j + 1),) + tail[1:], c)
+            lo = end + 1
 
     while heap and len(out) < count:
         negc, tie, ranks = heapq.heappop(heap)

@@ -107,20 +107,20 @@ def _clip_interior(y: np.ndarray) -> np.ndarray:
     return np.clip(y, _BOUNDARY_MARGIN, 1.0 - _BOUNDARY_MARGIN)
 
 
-def _tensor_pair_grad(y: np.ndarray, factor_fn, prime_fn) -> np.ndarray:
+def _tensor_pair_grad(n: int, dim: int, factor_fn, prime_fn) -> np.ndarray:
     """Gradient row-sums 2 sum_m g'_d prod_{e != d} g_e over ordered pairs.
 
-    factor_fn/prime_fn(d, rows, cols) evaluate the per-dimension factor
-    and its derivative on a column block; the diagonal pair (constant in
-    y) is masked.  Columns are blocked so memory stays near
-    dim * n * block doubles.
+    factor_fn/prime_fn(d, cols) evaluate the per-dimension factor and its
+    derivative between all n points and the points in the slice
+    ``cols``; the diagonal pair (constant in y) is masked.  Columns are
+    blocked so memory stays near dim * n * block doubles.
     """
-    n, dim = y.shape
     grad = np.zeros((n, dim))
     block = max(1, min(n, (1 << 24) // max(1, dim * n)))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        factors = [factor_fn(d, y, lo, hi) for d in range(dim)]
+        cols = slice(lo, hi)
+        factors = [factor_fn(d, cols) for d in range(dim)]
         idx = np.arange(lo, hi)
         suffixes = [None] * dim
         running = np.ones((n, hi - lo))
@@ -129,7 +129,7 @@ def _tensor_pair_grad(y: np.ndarray, factor_fn, prime_fn) -> np.ndarray:
             running = running * factors[e]
         prefix = np.ones((n, hi - lo))
         for d in range(dim):
-            contrib = prime_fn(d, y, lo, hi) * prefix * suffixes[d]
+            contrib = prime_fn(d, cols) * prefix * suffixes[d]
             contrib[idx, idx - lo] = 0.0
             grad[:, d] += 2.0 * contrib.sum(axis=1)
             prefix = prefix * factors[d]
@@ -137,17 +137,23 @@ def _tensor_pair_grad(y: np.ndarray, factor_fn, prime_fn) -> np.ndarray:
 
 
 def _periodic_objective(kernel: PeriodicKernel, n: int) -> _Objective:
+    # value and gradient both build their factors from the kernel's
+    # per-point set-up (angle addition for mq and gauss)
+    every = slice(None)
+
     def fun(y: np.ndarray) -> float:
         return kernel.pair_mean(y) - 1.0
 
-    def factor_fn(d, y, lo, hi):
-        return kernel.factor(y[:, d, None] - y[None, lo:hi, d])
-
-    def prime_fn(d, y, lo, hi):
-        return kernel.factor_prime(y[:, d, None] - y[None, lo:hi, d])
-
     def grad(y: np.ndarray) -> np.ndarray:
-        return _tensor_pair_grad(y, factor_fn, prime_fn) / (n * n)
+        setup = kernel.gram_setup(y)
+
+        def factor_fn(d, cols):
+            return kernel.factor_block(setup, d, every, cols)
+
+        def prime_fn(d, cols):
+            return kernel.factor_prime_block(setup, d, every, cols)
+
+        return _tensor_pair_grad(n, kernel.dim, factor_fn, prime_fn) / (n * n)
 
     return _Objective(fun, grad, _wrap_unit, 0.0)
 
@@ -157,18 +163,18 @@ def _spline_objective(kernel: SplineKernel, n: int) -> _Objective:
         return (kernel.integral_double() + kernel.pair_mean(y)
                 - 2.0 * float(kernel.integral_single(y).mean()))
 
-    def factor_fn(d, y, lo, hi):
-        xd = y[:, d, None]
-        yd = y[None, lo:hi, d]
-        return np.minimum(xd, yd) - xd * yd
-
-    def prime_fn(d, y, lo, hi):
-        xd = y[:, d, None]
-        yd = y[None, lo:hi, d]
-        return (xd < yd).astype(float) - yd
-
     def grad(y: np.ndarray) -> np.ndarray:
-        g = _tensor_pair_grad(y, factor_fn, prime_fn) / (n * n)
+        def factor_fn(d, cols):
+            xd = y[:, d, None]
+            yd = y[None, cols, d]
+            return np.minimum(xd, yd) - xd * yd
+
+        def prime_fn(d, cols):
+            xd = y[:, d, None]
+            yd = y[None, cols, d]
+            return (xd < yd).astype(float) - yd
+
+        g = _tensor_pair_grad(n, kernel.dim, factor_fn, prime_fn) / (n * n)
         # diagonal Gram entries prod (y - y^2) and the single integrals
         # prod y(1-y)/2 both depend on y
         for d in range(kernel.dim):

@@ -1,11 +1,11 @@
 """Reproducible random sampling and Monte-Carlo integration.
 
-All randomness in the package flows through a self-contained MT19937
-(32-bit Mersenne Twister, standard parameterization, ``init_genrand``
-seeding), so that point sets are bit-identical across platforms and
-numpy versions.  Doubles use the canonical 53-bit recipe
-``((a >> 5) * 2^26 + (b >> 6)) / 2^53`` from two consecutive 32-bit
-draws.
+All randomness in the package flows through one MT19937 stream (32-bit
+Mersenne Twister, standard parameterization, ``init_genrand`` seeding),
+taken from NumPy's ``RandomState``.  NEP 19 freezes that stream, so
+point sets are bit-identical across platforms and NumPy versions.
+Doubles use the canonical 53-bit recipe ``((a >> 5) * 2^26 + (b >> 6))
+/ 2^53`` from two consecutive 32-bit draws.
 """
 
 from __future__ import annotations
@@ -13,12 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-_N = 624
-_M = 397
-_MATRIX_A = np.uint32(0x9908B0DF)
-_UPPER_MASK = np.uint32(0x80000000)
-_LOWER_MASK = np.uint32(0x7FFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -36,72 +30,25 @@ class RngSpec:
 
 
 class MT19937:
-    """Mersenne Twister generating 32-bit words in blocks of 624.
+    """The Mersenne Twister stream of one seed.
 
-    The twist and tempering steps are vectorized with numpy; the output
-    stream is identical to the classic scalar implementation (and to a
-    default-constructed C++ ``std::mt19937`` for the same seed).
+    Identical to the classic scalar implementation (and to a
+    default-constructed C++ ``std::mt19937`` for the same seed); both
+    methods draw from the same stream.
     """
 
     def __init__(self, seed: int = 5489):
         if not 0 <= int(seed) < 2**32:
             raise ValueError("seed must be a 32-bit unsigned integer")
-        mt = np.empty(_N, dtype=np.uint64)
-        mt[0] = np.uint64(seed)
-        for i in range(1, _N):
-            prev = int(mt[i - 1])
-            mt[i] = (1812433253 * (prev ^ (prev >> 30)) + i) & 0xFFFFFFFF
-        self._mt = mt.astype(np.uint32)
-        self._buf = np.empty(0, dtype=np.uint32)
-        self._pos = 0
-
-    @staticmethod
-    def _twist_rows(y: np.ndarray, src: np.ndarray) -> np.ndarray:
-        mag = np.where((y & np.uint32(1)).astype(bool), _MATRIX_A, np.uint32(0))
-        return src ^ (y >> np.uint32(1)) ^ mag
-
-    def _twist(self) -> np.ndarray:
-        # The scalar algorithm updates the state in place, so rows from
-        # index N-M on read words produced earlier in the same pass.
-        # Split into segments whose inputs are already available.
-        mt = self._mt
-        k = _N - _M
-        new = np.empty(_N, dtype=np.uint32)
-        y = (mt[:k] & _UPPER_MASK) | (mt[1:k + 1] & _LOWER_MASK)
-        new[:k] = self._twist_rows(y, mt[_M:])
-        for lo, hi in ((k, 2 * k), (2 * k, _N - 1)):
-            y = (mt[lo:hi] & _UPPER_MASK) | (mt[lo + 1:hi + 1] & _LOWER_MASK)
-            new[lo:hi] = self._twist_rows(y, new[lo - k:hi - k])
-        y = (mt[_N - 1] & _UPPER_MASK) | (new[0] & _LOWER_MASK)
-        new[_N - 1] = self._twist_rows(y, new[_M - 1])
-        self._mt = new
-        out = new.copy()
-        out ^= out >> np.uint32(11)
-        out ^= (out << np.uint32(7)) & np.uint32(0x9D2C5680)
-        out ^= (out << np.uint32(15)) & np.uint32(0xEFC60000)
-        out ^= out >> np.uint32(18)
-        return out
+        self._state = np.random.RandomState(int(seed))
 
     def uint32(self, n: int) -> np.ndarray:
         """Next ``n`` tempered 32-bit words."""
-        out = np.empty(n, dtype=np.uint32)
-        filled = 0
-        while filled < n:
-            if self._pos >= self._buf.size:
-                self._buf = self._twist()
-                self._pos = 0
-            take = min(self._buf.size - self._pos, n - filled)
-            out[filled:filled + take] = self._buf[self._pos:self._pos + take]
-            self._pos += take
-            filled += take
-        return out
+        return self._state.randint(0, 2**32, size=n, dtype=np.uint32)
 
     def random(self, n: int) -> np.ndarray:
         """Next ``n`` doubles in [0, 1) via the 53-bit (res53) recipe."""
-        w = self.uint32(2 * n).astype(np.uint64)
-        a = w[0::2] >> np.uint64(5)
-        b = w[1::2] >> np.uint64(6)
-        return (a * np.uint64(67108864) + b) * (1.0 / 9007199254740992.0)
+        return self._state.random_sample(n)
 
 
 def uniform_points(rng: RngSpec | int, n_points: int, dim: int):

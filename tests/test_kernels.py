@@ -212,6 +212,54 @@ def test_periodic_truncated_finite_sum():
         assert np.max(np.abs(k.factor(t) - direct)) < 1e-15
 
 
+def rank1_lattice(n: int, dim: int) -> np.ndarray:
+    """y_n = frac(n z / N) for a Korobov-type generating vector z."""
+    z = [pow(3, d, n) if n > 1 else 0 for d in range(dim)]
+    return np.mod(np.outer(np.arange(n), z) / n, 1.0)
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+@pytest.mark.parametrize("n,dim", [(16, 1), (100, 3), (129, 8), (256, 32), (512, 128)])
+def test_pair_mean_rank1_lattice_identity(fam, n, dim):
+    # y_n - y_m is again a lattice point, so the Gram mean is the O(N D)
+    # sum (1/N) sum_n K(y_n, 0) over the closed-form factor
+    k = PeriodicKernel(fam, dim)
+    y = rank1_lattice(n, dim)
+    ref = float(k.elementwise(y, np.zeros_like(y)).mean())
+    assert k.pair_mean(y) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+@pytest.mark.parametrize("n,dim", [(1, 2), (16, 1), (130, 3), (300, 16)])
+def test_pair_mean_matches_full_matrix(fam, n, dim):
+    # tiles of 128 points: a ragged last tile and several off-diagonal tiles
+    k = PeriodicKernel(fam, dim)
+    y = np.random.default_rng(n + dim).random((n, dim))
+    assert k.pair_mean(y) == pytest.approx(k.pairwise(y, y).mean(), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("kid", ["tra-exp", "tra-gauss", "spline", "seed-mq"])
+def test_pair_mean_half_sum_other_kernels(kid):
+    k = kernel_from_id(kid, 3)
+    y = np.random.default_rng(4).random((300, 3))
+    assert k.pair_mean(y) == pytest.approx(k.pairwise(y, y).mean(), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_factor_blocks_match_closed_forms(fam):
+    k = PeriodicKernel(fam, 3)
+    y = np.random.default_rng(9).random((40, 3))
+    setup = k.gram_setup(y)
+    rows, cols = slice(0, 40), slice(10, 33)
+    for d in range(3):
+        t = y[rows, d, None] - y[None, cols, d]
+        assert np.allclose(k.factor_block(setup, d, rows, cols), k.factor(t),
+                           rtol=1e-14, atol=0.0)
+        # the truncated derivative jumps at its kinks; none are hit here
+        assert np.allclose(k.factor_prime_block(setup, d, rows, cols), k.factor_prime(t),
+                           rtol=1e-12, atol=1e-12)
+
+
 def test_fourier_coefficient_op():
     k = PeriodicKernel("gauss", 2)
     assert fourier_coefficient(k, LatticeIndex.make(2, {})) == 1.0
