@@ -244,6 +244,16 @@ def _check_lines() -> list[tuple[str, bool, str]]:
         ok = ok and abs(v - ref) <= 0.0015
     checks.append(("asymptotic table anchors", ok, f"{len(anchors)} cells"))
 
+    # the orbit-counted partial sum against the sum over listed indices
+    n, dim = 512, 16
+    worst = 0.0
+    for fam in _k.FAMILIES:
+        prof = _k.coefficient_profile(fam, dim)
+        listed = math.fsum(t.coefficient for t in lattice.enumerate_decreasing(prof, n))
+        worst = max(worst, abs(lattice.partial_sum(prof, n) - listed) / listed)
+    checks.append(("partial sum vs enumerated sum", worst < 1e-13,
+                   f"max rel diff {worst:.2e}, N={n}, D={dim}"))
+
     grid = canonical_grid([4, 4])
     prob = Cond1Problem.from_indices(box_targets([4, 4]), 2)
     res = cond1_functional(prob, grid) / grid.n**2

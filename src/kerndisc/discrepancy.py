@@ -180,8 +180,8 @@ def periodic_error_sp(kernel: PeriodicKernel, points: PointSet, params: NormPara
 
     Sums rho(alpha)^s |(1/N) sum_n exp(2 i pi <y^n, alpha>)|^p over the
     largest-coefficient nonzero indices (default: first 10 N enumerated
-    terms); for s >= 1 the analytic bound on the omitted tail is
-    reported as metadata.
+    terms); for s >= 1 the analytic bound on the omitted tail, including
+    the rounding error of the tail mass, is reported as metadata.
     """
     if not isinstance(kernel, PeriodicKernel):
         raise UnsupportedMethodError("periodic_error_sp requires a periodic kernel")
@@ -197,9 +197,13 @@ def periodic_error_sp(kernel: PeriodicKernel, points: PointSet, params: NormPara
     total = float(np.sum(rho**s * mods**p))
     tail_bound = None
     if s >= 1.0:
+        # the omitted terms are at most rho_min^(s-1) times their tail
+        # mass; T^D - partial sum cancels to rounding once the tail is
+        # tiny, so its rounding error is added and the bound never reads
+        # a false zero
         tail = lattice.tail_mass(kernel.profile, count + 1)
-        smallest = rho[-1]
-        tail_bound = float(smallest ** (s - 1.0) * tail) if smallest > 0 else 0.0
+        rounding = (kernel.dim + 2) * 2.0**-52 * kernel.profile.total()
+        tail_bound = float(rho[-1] ** (s - 1.0) * (tail + rounding))
     value = total ** (1.0 / p)
     return DiscrepancyReport(
         value=value, squared_value=total if p == 2.0 else value * value,

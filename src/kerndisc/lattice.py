@@ -6,11 +6,14 @@ coefficient at a lattice index ``alpha`` factorizes as
 coefficient function ``r`` (``r(0) = 1``, even, nonincreasing in |k| on
 its nonzero support).  This module enumerates lattice indices in
 nonincreasing coefficient order (best-first search over sparse index
-vectors) and computes the tail mass
+vectors) for the consumers that need the indices themselves, and
+computes the tail mass
 
     tail(N) = T^D - sum of the N largest coefficients,   T = sum_k r(k),
 
-which drives the asymptotic discrepancy estimate sqrt(tail(N) / N).
+which drives the asymptotic discrepancy estimate sqrt(tail(N) / N).  The
+partial sum counts whole coefficient orbits (shape, multinomial count
+and signs) and lists no index.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 __all__ = [
@@ -144,6 +149,54 @@ class CoefficientProfile:
         return out
 
 
+class _RankedMagnitudes:
+    """Per-dimension magnitudes ranked by decreasing r, extended on demand.
+
+    ``mags[j]`` and ``weights[j]`` are the magnitude and r-value of rank j
+    (rank 0 is the zero entry).  Zero coefficients are skipped.  With a
+    non-monotone r the next-largest magnitude is found by scanning until
+    the monotone envelope drops below the best pending candidate.  Once
+    the nonzero support is exhausted (possibly by underflow) the ranks
+    continue deterministically with zero-coefficient magnitudes.
+    """
+
+    def __init__(self, profile: CoefficientProfile):
+        self._profile = profile
+        self._env = profile.envelope or profile.r
+        self.mags = [0]
+        self.weights = [1.0]
+        self._pending: list[tuple[float, int]] = []  # (-r(k), k) heap of scanned, unranked k
+        self._scan = 1
+
+    def ensure(self, j: int) -> None:
+        """Rank magnitudes until rank ``j`` exists."""
+        r, env, pending = self._profile.r, self._env, self._pending
+        while len(self.mags) <= j:
+            if self.weights[-1] == 0.0:
+                self.mags.append(self.mags[-1] + 1)
+                self.weights.append(0.0)
+                continue
+            exhausted = False
+            while not pending or env(self._scan) > -pending[0][0]:
+                k = self._scan
+                if k > 10**7:
+                    raise ValueError("profile envelope does not decay; cannot rank magnitudes")
+                w = r(k)
+                if w > 0.0:
+                    heapq.heappush(pending, (-w, k))
+                elif not pending and k > 64 * (self.mags[-1] + 64):
+                    exhausted = True
+                    break
+                self._scan += 1
+            if exhausted:
+                self.mags.append(self.mags[-1] + 1)
+                self.weights.append(0.0)
+            else:
+                negw, k = heapq.heappop(pending)
+                self.mags.append(k)
+                self.weights.append(-negw)
+
+
 def _tie_key(entries: tuple[tuple[int, int], ...]) -> tuple:
     # deterministic tie order: fewer nonzero entries first, then the
     # lexicographic order of (dimension, value) pairs
@@ -160,51 +213,16 @@ def enumerate_decreasing(profile: CoefficientProfile, count: int) -> list[Lattic
     globally nonincreasing order.  Each unsigned rank vector expands to
     all of its sign choices (equal coefficients); ties are emitted by
     (number of nonzero entries, lexicographic (dimension, value) pairs).
+    Sums over the largest coefficients need no index list: see
+    ``partial_sum``.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     profile.validate()
     dim = profile.dim
-
-    # mags[j], weights[j]: magnitude and r-value of per-dimension rank j,
-    # ranked by decreasing r (rank 0 is the zero entry).  Zero
-    # coefficients are skipped.  With a non-monotone r the next-largest
-    # magnitude is found by scanning until the monotone envelope drops
-    # below the best pending candidate.
-    env = profile.envelope or profile.r
-    mags = [0]
-    weights = [1.0]
-    pending: list[tuple[float, int]] = []  # (-r(k), k) heap of scanned, unranked k
-    scan = [1]
-
-    def ensure_rank(j: int) -> None:
-        while len(mags) <= j:
-            if weights[-1] == 0.0:
-                # the nonzero support is exhausted (possibly by underflow);
-                # extend deterministically with zero-coefficient magnitudes
-                mags.append(mags[-1] + 1)
-                weights.append(0.0)
-                continue
-            exhausted = False
-            while not pending or env(scan[0]) > -pending[0][0]:
-                k = scan[0]
-                if k > 10**7:
-                    raise ValueError("profile envelope does not decay; cannot rank magnitudes")
-                if profile.r(k) > 0.0:
-                    heapq.heappush(pending, (-profile.r(k), k))
-                elif not pending and k > 64 * (mags[-1] + 64):
-                    exhausted = True
-                    break
-                scan[0] += 1
-            if exhausted:
-                mags.append(mags[-1] + 1)
-                weights.append(0.0)
-            else:
-                negw, k = heapq.heappop(pending)
-                mags.append(k)
-                weights.append(-negw)
-
-    ensure_rank(1)
+    ranked = _RankedMagnitudes(profile)
+    mags, weights = ranked.mags, ranked.weights
+    ranked.ensure(1)
     out: list[LatticeTerm] = []
     # heap entries: (-coeff, tie_key(rank vector), ranks)
     start: tuple[tuple[int, int], ...] = ()
@@ -222,7 +240,7 @@ def enumerate_decreasing(profile: CoefficientProfile, count: int) -> list[Lattic
         # product of its weights in key order.  The dimensions between two
         # nonzero entries all splice (d, 1) in at the same place, so they
         # share one coefficient.
-        ensure_rank(max((j for _, j in ranks), default=0) + 1)
+        ranked.ensure(max((j for _, j in ranks), default=0) + 1)
         prefix = [1.0]
         for _, j in ranks:
             prefix.append(prefix[-1] * weights[j])
@@ -274,9 +292,57 @@ def enumerate_decreasing(profile: CoefficientProfile, count: int) -> list[Lattic
     return out
 
 
+def _orbit_size(dim: int, shape: tuple[int, ...]) -> int:
+    """C(D, s) s! / prod m_j! 2^s: the signed indices with nonzero ranks ``shape``."""
+    size = math.perm(dim, len(shape)) << len(shape)
+    for m in Counter(shape).values():
+        size //= math.factorial(m)
+    return size
+
+
 def partial_sum(profile: CoefficientProfile, count: int) -> float:
-    """Sum of the ``count`` largest coefficients."""
-    return math.fsum(t.coefficient for t in enumerate_decreasing(profile, count))
+    """Sum of the ``count`` largest coefficients, counted by orbits.
+
+    rho(alpha) is unchanged by permuting the coordinates of alpha or
+    flipping their signs, so the top set is a union of whole orbits.  An
+    orbit is fixed by its shape, the nonincreasing tuple of its nonzero
+    per-dimension ranks; a shape of length s with part multiplicities
+    m_j has D! / ((D - s)! prod m_j!) 2^s indices.  Best-first search over
+    shapes (raise the first part of a run of equal parts by one rank, or
+    append a rank-1 part) visits them in nonincreasing coefficient order,
+    and each adds min(orbit size, remaining) copies of its coefficient.
+    No index is listed, so the cost depends on the number of shapes, not
+    on ``count``.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    profile.validate()
+    dim = profile.dim
+    ranked = _RankedMagnitudes(profile)
+    weights = ranked.weights
+    heap: list[tuple[float, tuple[int, ...]]] = [(-1.0, ())]
+    seen = {()}
+    terms = []
+    remaining = count
+    while remaining:
+        negc, shape = heapq.heappop(heap)
+        if negc == 0.0:
+            break  # every shape left has a zero coefficient
+        take = min(_orbit_size(dim, shape), remaining)
+        # exact products, rounded once at the end: the correctly rounded
+        # sum of the listed coefficients, as math.fsum over them would give
+        terms.append(Fraction(-negc) * take)
+        remaining -= take
+        ranked.ensure((shape[0] if shape else 0) + 1)
+        succ = [shape[:i] + (j + 1,) + shape[i + 1:]
+                for i, j in enumerate(shape) if i == 0 or shape[i - 1] != j]
+        if len(shape) < dim:
+            succ.append(shape + (1,))
+        for nxt in succ:
+            if nxt not in seen:
+                seen.add(nxt)
+                heapq.heappush(heap, (-math.prod(weights[j] for j in nxt), nxt))
+    return float(sum(terms))
 
 
 def tail_mass(profile: CoefficientProfile, n_points: int) -> float:

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from kerndisc.discrepancy import (MonteCarlo, periodic_error, physical_error, spectral_error)
+from kerndisc.discrepancy import (MonteCarlo, periodic_error, periodic_error_sp, physical_error,
+                                  spectral_error)
 from kerndisc.kernels import (FAMILIES, PeriodicKernel, SplineKernel, TransportedKernel,
                               coefficient_profile, erfinv, kernel_from_id)
 from kerndisc.lattice import asymptotic_discrepancy, enumerate_decreasing, tail_mass
@@ -221,16 +222,21 @@ def _series_vs_closed_form(fam: str, dim: int, tol_target: float) -> float:
 
 def test_criterion_6_formulation_equivalence():
     t0 = time.time()
-    # physical vs lattice-Fourier closed form, all periodic kernels
-    worst_pf = 0.0
+    # closed form (Gram mean - 1) vs the lattice-Fourier sum over the
+    # largest coefficients: the difference is the omitted tail, so it
+    # must lie in [0, tail_bound] up to rounding
+    worst_low = 0.0  # most negative closed - lattice
+    worst_high = -math.inf  # largest (closed - lattice) - tail_bound
     for fam in FAMILIES:
         for d in (1, 2, 4):
             kernel = PeriodicKernel(fam, d)
             for n in (16, 64):
                 pts = uniform_points(cell_seed(7, n, d), n, d)
-                a = physical_error(kernel, pts, "exact").squared_value
-                b = periodic_error(kernel, pts).squared_value
-                worst_pf = max(worst_pf, abs(a - b))
+                closed = periodic_error(kernel, pts).squared_value
+                sp = periodic_error_sp(kernel, pts, NormParams(1, 2))
+                gap = closed - sp.squared_value
+                worst_low = min(worst_low, gap)
+                worst_high = max(worst_high, gap - sp.metadata["tail_bound"])
     # Poisson cross-check of the closed forms against the coefficient series
     worst_series = 0.0
     for fam in ("mq", "gauss"):
@@ -261,9 +267,10 @@ def test_criterion_6_formulation_equivalence():
         spectral_error(rand, NormParams(1, 2), 2_000_000).value
         - physical_error(SplineKernel(1), rand, "exact").value))
     elapsed = time.time() - t0
-    ok = worst_pf <= 1e-12 and worst_series <= 1e-8 and worst_trunc <= 1e-12 \
-        and worst_spec <= 1e-6
-    report(6, ok, f"physical=fourier to {worst_pf:.1e}, series to {worst_series:.1e}, "
+    ok = worst_low >= -1e-12 and worst_high <= 1e-12 and worst_series <= 1e-8 \
+        and worst_trunc <= 1e-12 and worst_spec <= 1e-6
+    report(6, ok, f"closed - lattice >= {worst_low:.1e}, <= tail bound {worst_high:+.1e}, "
+                  f"series to {worst_series:.1e}, "
                   f"truncated exact to {worst_trunc:.1e}, spectral to {worst_spec:.1e}, "
                   f"{elapsed:.0f}s")
 

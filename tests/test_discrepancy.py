@@ -273,3 +273,16 @@ def test_periodic_error_nonnegative_property():
         assert rep.squared_value >= -1e-8
 
     run()
+
+
+@pytest.mark.parametrize("fam,n_terms", [("gauss", 160), ("mq", 5000)])
+def test_periodic_error_sp_tail_bound_not_false_zero(fam, n_terms):
+    # the tail mass T^D - partial sum cancels to 0 here while terms are
+    # still omitted; the bound carries the rounding error of that difference
+    k = PeriodicKernel(fam, 2)
+    pts = uniform_points(1, 16, 2)
+    sp = periodic_error_sp(k, pts, NormParams(1, 2), n_terms=n_terms)
+    assert tail_mass(k.profile, n_terms + 1) == 0.0
+    bound = sp.metadata["tail_bound"]
+    assert bound > 0.0
+    assert abs(periodic_error(k, pts).squared_value - sp.squared_value) <= bound

@@ -217,3 +217,44 @@ def test_property_order_and_first_term(fam, dim, count):
     coeffs = [t.coefficient for t in terms]
     assert all(a >= b for a, b in zip(coeffs, coeffs[1:]))
     assert coeffs[0] == 1.0 and terms[0].index.is_zero
+
+
+@pytest.mark.parametrize("fam", ["exp", "mq", "gauss", "trunc"])
+@pytest.mark.parametrize("dim", [1, 2, 4, 16, 128])
+def test_partial_sum_matches_enumerated_sum(fam, dim):
+    # orbit counting against the listed signed indices; enumeration order
+    # is fixed, so the first n of the 512 listed terms are the top n
+    profile = coefficient_profile(fam, dim)
+    coeffs = [t.coefficient for t in enumerate_decreasing(profile, 512)]
+    for n in (1, 16, 257, 512):
+        assert partial_sum(profile, n) == pytest.approx(math.fsum(coeffs[:n]), rel=1e-13)
+
+
+def test_partial_sum_mq_l1_shells_closed_form():
+    # per-mq: rho(alpha) = q^|alpha|_1, and the L1 shell |alpha|_1 = m holds
+    # sum_s 2^s C(D, s) C(m - 1, s - 1) indices
+    dim = 128
+    profile = coefficient_profile("mq", dim)
+    q = profile.r(1)
+    shells = [sum(2**s * math.comb(dim, s) * math.comb(m - 1, s - 1)
+                  for s in range(1, m + 1)) for m in (1, 2, 3)]
+    n = 1 + sum(shells)
+    assert n == 2_829_313
+    ref = math.fsum([1.0] + [c * q**m for c, m in zip(shells, (1, 2, 3))])
+    assert partial_sum(profile, n) == pytest.approx(ref, rel=1e-15)
+    # one index into the next shell adds exactly one q^4
+    assert partial_sum(profile, n + 1) == pytest.approx(ref + q**4, rel=1e-15)
+
+
+@pytest.mark.parametrize("fam", ["exp", "mq", "gauss", "trunc"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_partial_sum_brute_force_box_sort(fam, dim):
+    profile = coefficient_profile(fam, dim)
+    box = 2000 if dim == 1 else 300
+    r = np.array([profile.r(k) for k in range(-box, box + 1)])
+    rho = np.sort(r if dim == 1 else np.outer(r, r).ravel())[::-1]
+    env = profile.envelope or profile.r
+    for n in (1, 16, 257, 512):
+        # every index outside the box has a coefficient <= env(box + 1)
+        assert rho[n - 1] >= env(box + 1)
+        assert partial_sum(profile, n) == pytest.approx(math.fsum(rho[:n]), rel=1e-14)
