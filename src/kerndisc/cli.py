@@ -271,6 +271,25 @@ def _check_lines() -> list[tuple[str, bool, str]]:
     checks.append(("gram mean vs rank-1 lattice sum", worst < 1e-13,
                    f"max rel diff {worst:.2e}, N={n}, D={dim}"))
 
+    # tra-gauss: S(x) = erfinv(2x - 1) maps a uniform x to N(0, 1/2), so its
+    # integrals are Gaussian; the MC estimate must land within 5 standard
+    # errors of that closed form (mean K(Y, Y) summed pair by pair here)
+    gaps = []
+    for dim in (2, 4):
+        kern = _k.TransportedKernel("gauss", dim)
+        pts = uniform_points(7, 16, dim)
+        rep = physical_error(kern, pts, MonteCarlo(2**14, 108))
+        tau2, beta = kern.tau**2, kern.beta
+        u = special.erfinv(2.0 * pts.coords - 1.0)
+        sq = ((u[:, None, :] - u[None, :, :]) ** 2).sum(axis=2)
+        single = np.prod((1.0 + tau2) ** -0.5 * np.exp(-tau2 * u * u / (1.0 + tau2)), axis=1)
+        closed = beta * ((1.0 + 2.0 * tau2) ** (-dim / 2.0) + float(np.exp(-tau2 * sq).mean())
+                         - 2.0 * float(single.mean()))
+        gaps.append((rep.squared_value - closed) / rep.metadata["se_squared"])
+    checks.append(("tra-gauss MC vs closed form", max(map(abs, gaps)) < 5.0,
+                   "gaps " + ", ".join(f"{g:+.2f}" for g in gaps)
+                   + " standard errors, N=16, D=2,4"))
+
     return checks
 
 
@@ -354,6 +373,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError:
+        print("error: out of memory; reduce --N, --D or --mc-samples", file=sys.stderr)
         return EXIT_VALIDATION
 
 

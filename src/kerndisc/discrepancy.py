@@ -26,8 +26,10 @@ from .sampling import MT19937
 
 __all__ = [
     "DiscrepancyReport",
+    "MAX_ARRAY_BYTES",
     "MonteCarlo",
     "UnsupportedMethodError",
+    "check_array_bytes",
     "physical_error",
     "periodic_error",
     "periodic_error_sp",
@@ -35,7 +37,21 @@ __all__ = [
     "asymptotic_error",
 ]
 
+# the row sums of the MC estimator run over blocks of at most _MC_BLOCK
+# samples and _MC_BLOCK_PAIRS sample-point pairs (8192 rows up to N = 64)
 _MC_BLOCK = 8192
+_MC_BLOCK_PAIRS = 8192 * 64
+# the largest array a size-checked allocation may make
+MAX_ARRAY_BYTES = 2**30
+# the held-out MC stream of a MonteCarlo spec has seed ^ _HELD_OUT_XOR
+_HELD_OUT_XOR = 0x5A5A5A5A
+
+
+def check_array_bytes(count: int, itemsize: int, what: str) -> None:
+    """Refuse, before allocating, an array of ``count`` items above MAX_ARRAY_BYTES."""
+    if count * itemsize > MAX_ARRAY_BYTES:
+        raise ValueError(f"{what} would need {count * itemsize / 2**30:.1f} GiB "
+                         f"in one array (limit {MAX_ARRAY_BYTES / 2**30:.0f} GiB)")
 
 
 class UnsupportedMethodError(ValueError):
@@ -52,6 +68,22 @@ class MonteCarlo:
     def __post_init__(self):
         if self.samples < 2:
             raise ValueError("samples must be >= 2")
+
+    def draw(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """The sample sets a, then b, each (samples, dim), from MT19937(seed)."""
+        check_array_bytes(self.samples * dim, 8, f"{self.samples} MC samples at D={dim}")
+        gen = MT19937(self.seed)
+        a = gen.random(self.samples * dim).reshape(self.samples, dim)
+        b = gen.random(self.samples * dim).reshape(self.samples, dim)
+        return a, b
+
+    def held_out(self) -> "MonteCarlo":
+        """The same size on an independent stream, seed ^ 0x5A5A5A5A.
+
+        Scores a point set that was optimized on this stream's samples;
+        on the same samples the estimate is biased low.
+        """
+        return MonteCarlo(self.samples, self.seed ^ _HELD_OUT_XOR)
 
 
 @dataclass(frozen=True)
@@ -134,16 +166,20 @@ def physical_error(kernel: Kernel, points: PointSet,
 
 
 def _physical_error_mc(kernel: Kernel, points: PointSet, mc: MonteCarlo) -> DiscrepancyReport:
-    m = mc.samples
-    gen = MT19937(mc.seed)
-    a = gen.random(m * points.dim).reshape(m, points.dim)
-    b = gen.random(m * points.dim).reshape(m, points.dim)
-    pair_vals = kernel.elementwise(a, b)
+    m, n = mc.samples, points.n
+    a, b = mc.draw(points.dim)
+    # each sample set is mapped once (the transport of a tra-* kernel) and
+    # the raw draws are freed; the estimator reads the mapped coordinates
+    a = kernel.map_points(a)
+    b = kernel.map_points(b)
+    pair_vals = kernel.elementwise_mapped(a, b)
+    del b
+    y = kernel.map_points(points.coords)
     # row sums of K(a_j, y^n) over the point set, blocked over samples
+    rows = max(1, min(_MC_BLOCK, _MC_BLOCK_PAIRS // n))
     row_sums = np.empty(m)
-    for lo in range(0, m, _MC_BLOCK):
-        hi = min(lo + _MC_BLOCK, m)
-        row_sums[lo:hi] = kernel.pairwise(a[lo:hi], points.coords).sum(axis=1)
+    for lo in range(0, m, rows):
+        row_sums[lo:lo + rows] = kernel.kernel_mapped(a[lo:lo + rows], y).sum(axis=1)
     stat = pair_vals - (2.0 / points.n) * row_sums
     gram_mean = _gram_mean(kernel, points)
     squared = float(stat.mean()) + gram_mean

@@ -124,8 +124,11 @@ class TransportMap:
     eps: float = 1e-12
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.clip(np.asarray(x, dtype=float), self.eps, 1.0 - self.eps)
-        return special.erfinv(2.0 * x - 1.0)
+        # clip makes the one new array; the rest works in it
+        s = np.clip(np.asarray(x, dtype=float), self.eps, 1.0 - self.eps)
+        s *= 2.0
+        s -= 1.0
+        return special.erfinv(s, out=s)
 
     def apply_prime(self, x: np.ndarray) -> np.ndarray:
         """dS/dx = sqrt(pi) * exp(S(x)^2)."""
@@ -232,6 +235,20 @@ class Kernel:
                 "ii->i", self.pairwise(x[lo:hi], y[lo:hi]))
         return out
 
+    def map_points(self, x: np.ndarray) -> np.ndarray:
+        """The per-point coordinates that ``kernel_mapped`` and
+        ``elementwise_mapped`` read: the identity, unless the kernel is
+        composed with a map of the cube."""
+        return np.asarray(x, dtype=float)
+
+    def kernel_mapped(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Kernel matrix between rows of ``map_points`` output."""
+        return self.pairwise(u, v)
+
+    def elementwise_mapped(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """K for paired rows of ``map_points`` output."""
+        return self.elementwise(u, v)
+
     def pair_mean(self, coords: np.ndarray) -> float:
         """Mean of the full kernel matrix on one point set.
 
@@ -255,11 +272,12 @@ class Kernel:
 
     def gram_setup(self, coords: np.ndarray):
         """Per-point data that every Gram tile of one point set reads."""
-        return coords
+        return self.map_points(coords)
 
     def gram_block(self, setup, rows: slice, cols: slice) -> np.ndarray:
         """Kernel matrix between the points in ``rows`` and in ``cols``."""
-        return self.pairwise(setup[rows], setup[cols])
+        u = setup[rows]
+        return self.kernel_mapped(u, u if cols == rows else setup[cols])
 
     def _validate_point(self, p) -> np.ndarray:
         p = np.atleast_1d(np.asarray(p, dtype=float))
@@ -525,24 +543,60 @@ class TransportedKernel(Kernel):
             self.tau = math.sqrt(2.0 / dim)
             self.beta = 1.0
 
+    def map_points(self, x: np.ndarray) -> np.ndarray:
+        return self.transport.apply(x)
+
+    def _distances(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Distances between rows of transported coordinates: L1 for exp,
+        squared Euclidean for the other families.
+
+        The squared distance is |u|^2 + |v|^2 - 2 u.v, one matrix product,
+        clamped at 0 against rounding; when ``u is v`` the diagonal is set
+        to exactly 0.  exp needs the L1 distance, summed per dimension.
+        """
+        if self.family == "exp":
+            dist = np.zeros((u.shape[0], v.shape[0]))
+            buf = np.empty_like(dist)
+            for d in range(self.dim):
+                np.subtract.outer(u[:, d], v[:, d], out=buf)
+                np.abs(buf, out=buf)
+                dist += buf
+            return dist
+        dist = u @ v.T
+        dist *= -2.0
+        dist += np.einsum("ij,ij->i", u, u)[:, None]
+        dist += np.einsum("ij,ij->i", v, v)[None, :]
+        np.maximum(dist, 0.0, out=dist)
+        if u is v:
+            np.fill_diagonal(dist, 0.0)
+        return dist
+
+    def _from_distance(self, dist: np.ndarray) -> np.ndarray:
+        """The family formula applied in place to ``_distances`` output."""
+        if self.family == "exp":
+            dist *= -self.tau
+            np.exp(dist, out=dist)
+            dist /= self.beta
+        elif self.family == "mq":
+            dist *= self.tau**2
+            dist += 1.0
+            np.power(dist, -(self.dim + 1) / 2.0, out=dist)
+            dist *= self.beta
+        elif self.family == "gauss":
+            dist *= -self.tau**2
+            np.exp(dist, out=dist)
+            dist *= self.beta
+        else:
+            dist *= self.tau
+            dist += 1.0
+            np.power(dist, -float(self.dim), out=dist)
+        return dist
+
     def kernel_mapped(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Kernel matrix from already-transported coordinates."""
         u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if self.family == "exp":
-            acc = np.zeros((u.shape[0], v.shape[0]))
-            for d in range(self.dim):
-                acc += np.abs(u[:, d, None] - v[None, :, d])
-            return np.exp(-self.tau * acc) / self.beta
-        sq = np.zeros((u.shape[0], v.shape[0]))
-        for d in range(self.dim):
-            diff = u[:, d, None] - v[None, :, d]
-            sq += diff * diff
-        if self.family == "mq":
-            return self.beta * (1.0 + self.tau**2 * sq) ** (-(self.dim + 1) / 2.0)
-        if self.family == "gauss":
-            return self.beta * np.exp(-self.tau**2 * sq)
-        return (1.0 + self.tau * sq) ** (-float(self.dim))
+        v = u if v is u else np.asarray(v, dtype=float)
+        return self._from_distance(self._distances(u, v))
 
     def grad_sum_mapped(self, u: np.ndarray, v: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """sum_j weights[j] * d/du K(u_i, v_j), shape (n, dim).
@@ -551,53 +605,53 @@ class TransportedKernel(Kernel):
         with TransportMap.apply_prime for cube-coordinate gradients.
         """
         u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        kmat = self.kernel_mapped(u, v)
-        out = np.empty((u.shape[0], self.dim))
+        v = u if v is u else np.asarray(v, dtype=float)
+        dist = self._distances(u, v)
+        kmat = self._from_distance(dist.copy())
         if self.family == "exp":
+            out = np.empty((u.shape[0], self.dim))
+            sgn = dist  # reused as the sign buffer
             for d in range(self.dim):
-                sgn = np.sign(u[:, d, None] - v[None, :, d])
-                out[:, d] = -self.tau * ((kmat * sgn) @ weights)
+                np.subtract.outer(u[:, d], v[:, d], out=sgn)
+                np.sign(sgn, out=sgn)
+                sgn *= kmat
+                out[:, d] = sgn @ weights
+            out *= -self.tau
             return out
-        sq = np.zeros((u.shape[0], v.shape[0]))
-        for d in range(self.dim):
-            diff = u[:, d, None] - v[None, :, d]
-            sq += diff * diff
         if self.family == "mq":
-            base = kmat / (1.0 + self.tau**2 * sq)
+            dist *= self.tau**2
+            dist += 1.0
+            base = np.divide(kmat, dist, out=kmat)
             scale = -(self.dim + 1) * self.tau**2
         elif self.family == "gauss":
             base = kmat
             scale = -2.0 * self.tau**2
         else:
-            base = kmat / (1.0 + self.tau * sq)
+            dist *= self.tau
+            dist += 1.0
+            base = np.divide(kmat, dist, out=kmat)
             scale = -2.0 * self.dim * self.tau
-        for d in range(self.dim):
-            diff = u[:, d, None] - v[None, :, d]
-            out[:, d] = scale * ((base * diff) @ weights)
+        # sum_j base_ij w_j (u_i - v_j) = u_i (base w)_i - (base diag(w) v)_i
+        out = u * (base @ weights)[:, None]
+        base *= weights
+        out -= base @ v
+        out *= scale
         return out
 
     def pairwise(self, x, y):
-        return self.kernel_mapped(self.transport.apply(x), self.transport.apply(y))
-
-    def gram_setup(self, coords):
-        return self.transport.apply(coords)
-
-    def gram_block(self, setup, rows, cols):
-        return self.kernel_mapped(setup[rows], setup[cols])
+        u = self.map_points(x)
+        return self.kernel_mapped(u, u if y is x else self.map_points(y))
 
     def elementwise(self, x, y):
-        u = self.transport.apply(x)
-        v = self.transport.apply(y)
-        diff = u - v
+        return self.elementwise_mapped(self.map_points(x), self.map_points(y))
+
+    def elementwise_mapped(self, u, v):
+        diff = np.subtract(u, v, dtype=float)
         if self.family == "exp":
-            return np.exp(-self.tau * np.abs(diff).sum(axis=1)) / self.beta
-        sq = (diff * diff).sum(axis=1)
-        if self.family == "mq":
-            return self.beta * (1.0 + self.tau**2 * sq) ** (-(self.dim + 1) / 2.0)
-        if self.family == "gauss":
-            return self.beta * np.exp(-self.tau**2 * sq)
-        return (1.0 + self.tau * sq) ** (-float(self.dim))
+            np.abs(diff, out=diff)
+        else:
+            diff *= diff
+        return self._from_distance(diff.sum(axis=1))
 
     def diagonal(self) -> float:
         if self.family == "exp":

@@ -18,11 +18,12 @@ import numpy as np
 from scipy import optimize as _sciopt
 
 from . import lattice
-from .discrepancy import DiscrepancyReport, MonteCarlo, periodic_error, physical_error
+from .discrepancy import (DiscrepancyReport, MonteCarlo, check_array_bytes, periodic_error,
+                          physical_error)
 from .kernels import Kernel, PeriodicKernel, SplineKernel, TransportedKernel
 from .lattice import LatticeIndex
 from .rkhs import PointSet
-from .sampling import MT19937, uniform_points
+from .sampling import uniform_points
 
 __all__ = [
     "OptimizerConfig",
@@ -194,11 +195,9 @@ def _spline_objective(kernel: SplineKernel, n: int) -> _Objective:
 
 
 def _transported_objective(kernel: TransportedKernel, n: int, mc: MonteCarlo) -> _Objective:
-    gen = MT19937(mc.seed)
-    a = gen.random(mc.samples * kernel.dim).reshape(mc.samples, kernel.dim)
-    b = gen.random(mc.samples * kernel.dim).reshape(mc.samples, kernel.dim)
-    double_est = float(kernel.elementwise(a, b).mean())
-    ua = kernel.transport.apply(a)
+    a, b = mc.draw(kernel.dim)
+    ua = kernel.map_points(a)
+    double_est = float(kernel.elementwise_mapped(ua, kernel.map_points(b)).mean())
     w_single = np.full(mc.samples, 1.0 / mc.samples)
 
     def fun(y: np.ndarray) -> float:
@@ -235,8 +234,9 @@ def descend_physical(kernel: Kernel, start: PointSet,
     """Projected gradient descent on the squared discrepancy.
 
     Returns the improved point set, its discrepancy report (exact for
-    periodic/spline kernels, the frozen-sample estimate for transported
-    ones), and the objective trace.
+    periodic/spline kernels; for transported ones an estimate on the
+    held-out stream ``mc.held_out()``, since the frozen samples the
+    descent minimized score its result too low), and the objective trace.
     """
     config = config or OptimizerConfig()
     if kernel.dim != start.dim:
@@ -312,7 +312,7 @@ def descend_physical(kernel: Kernel, start: PointSet,
     elif isinstance(kernel, SplineKernel):
         report = physical_error(kernel, points, "exact")
     else:
-        report = physical_error(kernel, points, mc or MonteCarlo())
+        report = physical_error(kernel, points, (mc or MonteCarlo()).held_out())
     return points, report, trace
 
 
@@ -355,7 +355,14 @@ class Cond1Result:
     converged: bool = False
 
 
+def _check_cond1_size(problem: Cond1Problem, y: np.ndarray) -> None:
+    # the (points, targets) complex arrays of the sums and the gradient
+    check_array_bytes(y.shape[0] * problem.targets.shape[0], 16,
+                      f"{y.shape[0]} points x {problem.targets.shape[0]} cond1 targets")
+
+
 def _cond1_sums(problem: Cond1Problem, y: np.ndarray) -> np.ndarray:
+    _check_cond1_size(problem, y)
     phases = 2.0 * math.pi * (y @ problem.targets.T)
     return np.exp(1j * phases).sum(axis=0)
 
@@ -370,6 +377,7 @@ def cond1_functional(problem: Cond1Problem, points: PointSet | np.ndarray) -> fl
 def cond1_gradient(problem: Cond1Problem, points: PointSet | np.ndarray) -> np.ndarray:
     """Real gradient of I(Y) with respect to the point coordinates."""
     y = points.coords if isinstance(points, PointSet) else np.asarray(points, dtype=float)
+    _check_cond1_size(problem, y)
     phases = 2.0 * math.pi * (y @ problem.targets.T)
     e = np.exp(1j * phases)  # (n, k)
     s = e.sum(axis=0)
@@ -510,7 +518,8 @@ def optimize_points(kernel: Kernel, n: int, seed: int,
         # start; when progress is poor, seed from the annihilation
         # solution of the matching periodic kernel (the flat-landscape
         # workaround) and descend again
-        baseline = physical_error(kernel, start, mc or MonteCarlo())
+        # scored on the held-out stream, like the descent's report
+        baseline = physical_error(kernel, start, (mc or MonteCarlo()).held_out())
         if report.value > 0.7 * baseline.value or trace.stopped_by == "stalled":
             twin = PeriodicKernel("gauss", kernel.dim)
             problem = _cond1_targets_for(twin, n)

@@ -161,7 +161,7 @@ def test_slice_non_tensor_kernel_center_slice():
 def test_check_command_passes():
     code, out = run_cli("check")
     assert code == 0
-    assert "10/10 checks passed" in out
+    assert "11/11 checks passed" in out
 
 
 def test_points_validation_error_exit_code():
@@ -193,3 +193,11 @@ def test_slice_seed_kernel_center_profile():
     rows = dict(line.split(",") for line in out.splitlines()[1:])
     assert float(rows["0.5"]) == pytest.approx(1.0)  # K(center, center)
     assert float(rows["0"]) == pytest.approx(np.exp(-0.5))
+
+
+def test_oversized_mc_samples_exit_2(capsys):
+    # 2^24 samples at D = 16 would be 2 GiB per sample set
+    code, out = run_cli("table", "--kernel", "tra-gauss", "--mode", "random", "--N", "16",
+                        "--D", "16", "--mc-samples", str(2**24), "--threads", "1")
+    assert code == 2 and out == ""
+    assert "GiB" in capsys.readouterr().err

@@ -213,6 +213,50 @@ def test_monte_carlo_transported_runs():
     assert again.squared_value == rep.squared_value  # frozen stream
 
 
+def _replay_seed_formula(k, u, v):
+    diff = u - v
+    if k.family == "exp":
+        return np.exp(-k.tau * np.abs(diff).sum(axis=-1)) / k.beta
+    sq = (diff * diff).sum(axis=-1)
+    if k.family == "mq":
+        return k.beta * (1 + k.tau**2 * sq) ** (-(k.dim + 1) / 2.0)
+    if k.family == "gauss":
+        return k.beta * np.exp(-k.tau**2 * sq)
+    return (1 + k.tau * sq) ** (-float(k.dim))
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_transported_mc_estimator_replay(fam):
+    # the shared-sample estimator replayed from its definition: samples a,
+    # then b, from RandomState(seed); S(x) = erfinv(2x - 1); the seed
+    # formula summed pair by pair
+    from scipy.special import erfinv as scipy_erfinv
+
+    m = 4096
+    for dim in (1, 4, 16):
+        k = TransportedKernel(fam, dim)
+        for n in (1, 16, 64):
+            seed = 1000 * dim + n
+            pts = uniform_points(seed + 1, n, dim)
+            draw = np.random.RandomState(seed).random_sample
+            a = scipy_erfinv(2 * draw(m * dim).reshape(m, dim) - 1)
+            b = scipy_erfinv(2 * draw(m * dim).reshape(m, dim) - 1)
+            y = scipy_erfinv(2 * pts.coords - 1)
+            single = _replay_seed_formula(k, a[:, None, :], y[None, :, :]).mean(axis=1)
+            e2 = (float((_replay_seed_formula(k, a, b) - 2 * single).mean())
+                  + float(_replay_seed_formula(k, y[:, None, :], y[None, :, :]).mean()))
+            rep = physical_error(k, pts, MonteCarlo(m, seed))
+            assert rep.squared_value == pytest.approx(e2, rel=1e-12), (dim, n)
+
+
+def test_monte_carlo_refuses_oversized_samples():
+    # 2^24 samples x 16 dimensions is 2 GiB per sample set; refused before
+    # anything is drawn
+    k = TransportedKernel("gauss", 16)
+    with pytest.raises(ValueError, match="GiB"):
+        physical_error(k, uniform_points(0, 4, 16), MonteCarlo(2**24, 0))
+
+
 def test_periodic_error_sp_reduces_to_squared_error():
     # s=1, p=2 reproduces the closed form up to the enumerated tail
     k = PeriodicKernel("gauss", 2)

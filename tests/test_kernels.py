@@ -283,33 +283,47 @@ def test_transported_diagonal_below_e():
             assert k.pairwise(x, x)[0, 0] == pytest.approx(k.diagonal(), rel=1e-12)
 
 
+def _seed_formula(k, u, v):
+    # the seed formula on transported coordinates, pair by pair
+    diff = u - v
+    if k.family == "exp":
+        return np.exp(-k.tau * np.abs(diff).sum(axis=-1)) / k.beta
+    sq = (diff * diff).sum(axis=-1)
+    if k.family == "mq":
+        return k.beta * (1 + k.tau**2 * sq) ** (-(k.dim + 1) / 2.0)
+    if k.family == "gauss":
+        return k.beta * np.exp(-k.tau**2 * sq)
+    return (1 + k.tau * sq) ** (-float(k.dim))
+
+
 def test_transported_matches_mapped_formula():
-    # eval factorizes through S: independent inline formulas
-    rng = np.random.default_rng(2)
-    x = rng.random((8, 2))
-    y = rng.random((8, 2))
+    # eval factorizes through S: independent inline formulas, with rows at
+    # the clamp edge and rows coinciding across and within the two sets
     from scipy.special import erfinv as scipy_erfinv
 
-    sx = scipy_erfinv(2 * x - 1)
-    sy = scipy_erfinv(2 * y - 1)
-    d1 = np.abs(sx[:, None, :] - sy[None, :, :]).sum(axis=2)
-    sq = ((sx[:, None, :] - sy[None, :, :]) ** 2).sum(axis=2)
-
-    k = TransportedKernel("exp", 2)
-    ref = np.exp(-k.tau * d1) / k.beta
-    assert np.max(np.abs(k.pairwise(x, y) - ref)) < 1e-10
-
-    k = TransportedKernel("gauss", 2)
-    ref = k.beta * np.exp(-k.tau**2 * sq)
-    assert np.max(np.abs(k.pairwise(x, y) - ref)) < 1e-10
-
-    k = TransportedKernel("mq", 2)
-    ref = k.beta * (1 + k.tau**2 * sq) ** (-1.5)
-    assert np.max(np.abs(k.pairwise(x, y) - ref)) < 1e-10
-
-    k = TransportedKernel("trunc", 2)
-    ref = (1 + k.tau * sq) ** (-2.0)
-    assert np.max(np.abs(k.pairwise(x, y) - ref)) < 1e-10
+    rng = np.random.default_rng(2)
+    for dim in (2, 16, 128):
+        x = rng.random((8, dim))
+        y = rng.random((8, dim))
+        x[0] = 1e-13
+        y[1] = 1.0 - 1e-13
+        y[2] = x[3]
+        x[5] = x[4]
+        sx = scipy_erfinv(2 * np.clip(x, 1e-12, 1 - 1e-12) - 1)
+        sy = scipy_erfinv(2 * np.clip(y, 1e-12, 1 - 1e-12) - 1)
+        for fam in FAMILIES:
+            k = TransportedKernel(fam, dim)
+            ref = _seed_formula(k, sx[:, None, :], sy[None, :, :])
+            assert np.max(np.abs(k.pairwise(x, y) - ref)) < 1e-10
+            assert np.max(np.abs(k.elementwise(x, y) - _seed_formula(k, sx, sy))) < 1e-10
+            # coincident rows: no squared distance below 0, so no value
+            # above the diagonal, and the diagonal of K(x, x) is K(0)
+            for kmat in (k.pairwise(x, y), k.pairwise(x, x), k.pairwise(x, x.copy())):
+                assert np.all(kmat <= k.diagonal())
+            kxx = k.pairwise(x, x)
+            assert np.max(np.abs(np.diagonal(kxx) - k.diagonal())) <= 1e-12 * k.diagonal()
+            ref = _seed_formula(k, sx[:, None, :], sx[None, :, :])
+            assert np.max(np.abs(kxx - ref)) < 1e-10
 
 
 def test_transported_boundary_clamp():

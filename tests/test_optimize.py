@@ -212,6 +212,32 @@ def test_transported_descent_improves():
     assert np.all((pts.coords >= 0) & (pts.coords <= 1))
 
 
+def test_transported_report_scores_held_out_stream():
+    # on the frozen samples it minimized, the descent's own estimate of
+    # E^2 is biased low and here negative (-0.0070); the report comes from
+    # the independent stream seed ^ 0x5A5A5A5A
+    k = TransportedKernel("gauss", 2)
+    mc = MonteCarlo(4096, 7)
+    pts, rep, _ = descend_physical(k, uniform_points(5, 16, 2),
+                                   OptimizerConfig(max_iterations=300), mc)
+    assert physical_error(k, pts, mc).squared_value < 0
+    assert rep.metadata["mc_seed"] == 7 ^ 0x5A5A5A5A
+    held_out = physical_error(k, pts, MonteCarlo(4096, 7 ^ 0x5A5A5A5A))
+    assert rep.squared_value == held_out.squared_value
+
+
+def test_size_guards_refuse_before_allocating():
+    # 2^15 points x 2^15 targets would be 16 GiB per complex array
+    prob = Cond1Problem(np.ones((2**15, 1)), 1)
+    y = np.zeros((2**15, 1))
+    with pytest.raises(ValueError, match="GiB"):
+        cond1_functional(prob, y)
+    with pytest.raises(ValueError, match="GiB"):
+        cond1_gradient(prob, y)
+    with pytest.raises(ValueError, match="GiB"):
+        build_objective(TransportedKernel("gauss", 16), 8, MonteCarlo(2**24, 0))
+
+
 def test_descent_aborts_on_nonfinite_gradient(monkeypatch):
     import kerndisc.optimize as op
 
