@@ -598,8 +598,11 @@ class TransportedKernel(Kernel):
         v = u if v is u else np.asarray(v, dtype=float)
         return self._from_distance(self._distances(u, v))
 
-    def grad_sum_mapped(self, u: np.ndarray, v: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """sum_j weights[j] * d/du K(u_i, v_j), shape (n, dim).
+    def grad_sum_mapped(self, u: np.ndarray, v: np.ndarray,
+                        weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The weighted row sums sum_j weights[j] K(u_i, v_j), shape (n,),
+        and sum_j weights[j] * d/du K(u_i, v_j), shape (n, dim), from one
+        kernel matrix.
 
         Gradient is with respect to the transported coordinate u; chain
         with TransportMap.apply_prime for cube-coordinate gradients.
@@ -608,6 +611,7 @@ class TransportedKernel(Kernel):
         v = u if v is u else np.asarray(v, dtype=float)
         dist = self._distances(u, v)
         kmat = self._from_distance(dist.copy())
+        rows = kmat @ weights  # before mq and trunc overwrite kmat
         if self.family == "exp":
             out = np.empty((u.shape[0], self.dim))
             sgn = dist  # reused as the sign buffer
@@ -617,7 +621,7 @@ class TransportedKernel(Kernel):
                 sgn *= kmat
                 out[:, d] = sgn @ weights
             out *= -self.tau
-            return out
+            return rows, out
         if self.family == "mq":
             dist *= self.tau**2
             dist += 1.0
@@ -636,7 +640,7 @@ class TransportedKernel(Kernel):
         base *= weights
         out -= base @ v
         out *= scale
-        return out
+        return rows, out
 
     def pairwise(self, x, y):
         u = self.map_points(x)

@@ -1,9 +1,11 @@
-"""Point-set optimization: gradient descent on E^2, the exponential-sum
+"""Point-set optimization: L-BFGS-B descent on E^2, the exponential-sum
 annihilation system, canonical grids, and the 1-D closed form.
 
 Descent minimizes the squared discrepancy directly (for periodic kernels
-the constant integral terms drop, leaving the mean of the Gram matrix).
-The annihilation system drives I(Y) = sum_n |sum_m exp(2 i pi <y^m,
+the constant integral terms drop, leaving the mean of the Gram matrix)
+with SciPy's L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995).  Each evaluation is
+one kernel pass that yields the value and the gradient together.  The
+annihilation system drives I(Y) = sum_n |sum_m exp(2 i pi <y^m,
 alpha^n>)|^2 to zero over a target set of nonzero lattice indices; its
 residual I(Y)/N^2 bounds the discrepancy head, leaving only the
 coefficient tail.
@@ -41,81 +43,64 @@ __all__ = [
 ]
 
 _BOUNDARY_MARGIN = 1e-7  # keeps transported points off the erfinv singularity
+# L-BFGS-B stopping tolerances of the descent (memory: SciPy's default maxcor)
+_DESCENT_FTOL = 1e-15
+_DESCENT_GTOL = 1e-12
+# L-BFGS-B exit status -> DescentTrace.stopped_by; any other status is "stalled"
+_STOPPED_BY = {0: "converged", 1: "max_iterations"}
 
 
 @dataclass
 class OptimizerConfig:
-    """Descent settings; defaults are stable across all table cells.
-
-    step_size defaults to 0.1/N and gradient_tolerance to 1e-9 N.  When
-    the relative objective decrease stalls for ``stall_iterations`` while
-    the gradient is still above tolerance, the search restarts from the
-    incumbent with a 10x step (the flat-landscape workaround), up to
-    ``max_restarts`` times.
-    """
+    """The iteration cap of the descent and of the annihilation solve
+    (L-BFGS-B ``maxiter``)."""
 
     max_iterations: int = 10_000
-    step_size: float | None = None
-    step_schedule: str = "backtracking"  # or "constant"
-    gradient_tolerance: float | None = None
-    objective_tolerance: float = 0.0
-    seed: int = 0
-    stall_iterations: int = 50
-    max_restarts: int = 3
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.step_schedule not in ("backtracking", "constant"):
-            raise ValueError("step_schedule must be 'backtracking' or 'constant'")
-        if self.step_size is not None and self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if self.gradient_tolerance is not None and self.gradient_tolerance <= 0:
-            raise ValueError("gradient_tolerance must be positive")
-        if self.objective_tolerance < 0:
-            raise ValueError("objective_tolerance must be >= 0")
 
 
 @dataclass
 class DescentTrace:
-    """Objective per accepted iterate (nonincreasing under backtracking)."""
+    """Objective at the start and after each L-BFGS-B iteration.
+
+    The trace is nonincreasing: every line search demands sufficient
+    decrease.  ``stopped_by`` is "converged" (L-BFGS-B status 0: the
+    objective or projected-gradient tolerance was met), "max_iterations"
+    (status 1: the iteration or evaluation cap) or "stalled" (any other
+    status, e.g. a line search that can make no further progress).
+    """
 
     objectives: list[float] = field(default_factory=list)
     iterations: int = 0
-    restarts: int = 0
     stopped_by: str = "max_iterations"
 
 
 class _Objective:
-    """Objective/gradient pair with the projection for its domain."""
+    """``fun(y)`` gives the value alone; ``grad(y)`` gives (value,
+    gradient) from one kernel pass.  ``bounds`` is the box of the
+    objective's domain, None for the periodic torus."""
 
-    def __init__(self, fun, grad, project, offset: float):
+    def __init__(self, fun, grad, bounds: _sciopt.Bounds | None):
         self.fun = fun
         self.grad = grad
-        self.project = project
-        self.offset = offset  # E^2 = fun + offset
+        self.bounds = bounds
 
 
-def _wrap_unit(y: np.ndarray) -> np.ndarray:
-    return np.mod(y, 1.0)
+def _tensor_pair_grad(n: int, dim: int, factor_fn, prime_fn) -> tuple[float, np.ndarray]:
+    """The Gram sum and the gradient row-sums over ordered pairs.
 
-
-def _clip_unit(y: np.ndarray) -> np.ndarray:
-    return np.clip(y, 0.0, 1.0)
-
-
-def _clip_interior(y: np.ndarray) -> np.ndarray:
-    return np.clip(y, _BOUNDARY_MARGIN, 1.0 - _BOUNDARY_MARGIN)
-
-
-def _tensor_pair_grad(n: int, dim: int, factor_fn, prime_fn) -> np.ndarray:
-    """Gradient row-sums 2 sum_m g'_d prod_{e != d} g_e over ordered pairs.
-
+    Returns (sum_{m,m'} prod_e g_e, 2 sum_m g'_d prod_{e != d} g_e).
     factor_fn/prime_fn(d, cols) evaluate the per-dimension factor and its
     derivative between all n points and the points in the slice
-    ``cols``; the diagonal pair (constant in y) is masked.  Columns are
-    blocked so memory stays near dim * n * block doubles.
+    ``cols``; the suffix products end in the Gram block itself, so the
+    sum costs no extra factor evaluation.  The diagonal pair (constant in
+    y) is masked from the gradient.  Columns are blocked so memory stays
+    near dim * n * block doubles.
     """
+    total = 0.0
     grad = np.zeros((n, dim))
     block = max(1, min(n, (1 << 24) // max(1, dim * n)))
     for lo in range(0, n, block):
@@ -128,13 +113,14 @@ def _tensor_pair_grad(n: int, dim: int, factor_fn, prime_fn) -> np.ndarray:
         for e in range(dim - 1, -1, -1):
             suffixes[e] = running
             running = running * factors[e]
+        total += float(running.sum())
         prefix = np.ones((n, hi - lo))
         for d in range(dim):
             contrib = prime_fn(d, cols) * prefix * suffixes[d]
             contrib[idx, idx - lo] = 0.0
             grad[:, d] += 2.0 * contrib.sum(axis=1)
             prefix = prefix * factors[d]
-    return grad
+    return total, grad
 
 
 def _periodic_objective(kernel: PeriodicKernel, n: int) -> _Objective:
@@ -145,7 +131,7 @@ def _periodic_objective(kernel: PeriodicKernel, n: int) -> _Objective:
     def fun(y: np.ndarray) -> float:
         return kernel.pair_mean(y) - 1.0
 
-    def grad(y: np.ndarray) -> np.ndarray:
+    def grad(y: np.ndarray) -> tuple[float, np.ndarray]:
         setup = kernel.gram_setup(y)
 
         def factor_fn(d, cols):
@@ -154,9 +140,10 @@ def _periodic_objective(kernel: PeriodicKernel, n: int) -> _Objective:
         def prime_fn(d, cols):
             return kernel.factor_prime_block(setup, d, every, cols)
 
-        return _tensor_pair_grad(n, kernel.dim, factor_fn, prime_fn) / (n * n)
+        total, g = _tensor_pair_grad(n, kernel.dim, factor_fn, prime_fn)
+        return total / (n * n) - 1.0, g / (n * n)
 
-    return _Objective(fun, grad, _wrap_unit, 0.0)
+    return _Objective(fun, grad, None)
 
 
 def _spline_objective(kernel: SplineKernel, n: int) -> _Objective:
@@ -164,7 +151,7 @@ def _spline_objective(kernel: SplineKernel, n: int) -> _Objective:
         return (kernel.integral_double() + kernel.pair_mean(y)
                 - 2.0 * float(kernel.integral_single(y).mean()))
 
-    def grad(y: np.ndarray) -> np.ndarray:
+    def grad(y: np.ndarray) -> tuple[float, np.ndarray]:
         def factor_fn(d, cols):
             xd = y[:, d, None]
             yd = y[None, cols, d]
@@ -175,7 +162,8 @@ def _spline_objective(kernel: SplineKernel, n: int) -> _Objective:
             yd = y[None, cols, d]
             return (xd < yd).astype(float) - yd
 
-        g = _tensor_pair_grad(n, kernel.dim, factor_fn, prime_fn) / (n * n)
+        total, g = _tensor_pair_grad(n, kernel.dim, factor_fn, prime_fn)
+        g /= n * n
         # diagonal Gram entries prod (y - y^2) and the single integrals
         # prod y(1-y)/2 both depend on y
         for d in range(kernel.dim):
@@ -189,15 +177,17 @@ def _spline_objective(kernel: SplineKernel, n: int) -> _Objective:
             deriv = 1.0 - 2.0 * y[:, d]
             g[:, d] += deriv * others_diag / (n * n)
             g[:, d] -= (2.0 / n) * (deriv / 2.0) * others_int
-        return g
+        value = (kernel.integral_double() + total / (n * n)
+                 - 2.0 * float(kernel.integral_single(y).mean()))
+        return value, g
 
-    return _Objective(fun, grad, _clip_unit, 0.0)
+    return _Objective(fun, grad, _sciopt.Bounds(0.0, 1.0))
 
 
 def _transported_objective(kernel: TransportedKernel, n: int, mc: MonteCarlo) -> _Objective:
-    a, b = mc.draw(kernel.dim)
+    # E^2 = fun + (the double integral), a constant the descent drops
+    a, _ = mc.draw(kernel.dim)
     ua = kernel.map_points(a)
-    double_est = float(kernel.elementwise_mapped(ua, kernel.map_points(b)).mean())
     w_single = np.full(mc.samples, 1.0 / mc.samples)
 
     def fun(y: np.ndarray) -> float:
@@ -206,14 +196,15 @@ def _transported_objective(kernel: TransportedKernel, n: int, mc: MonteCarlo) ->
         single = float(kernel.kernel_mapped(u, ua).mean(axis=1).mean())
         return pair - 2.0 * single
 
-    def grad(y: np.ndarray) -> np.ndarray:
+    def grad(y: np.ndarray) -> tuple[float, np.ndarray]:
         u = kernel.transport.apply(y)
         sprime = kernel.transport.apply_prime(y)
-        g_pair = kernel.grad_sum_mapped(u, u, np.ones(y.shape[0]))
-        g_single = kernel.grad_sum_mapped(u, ua, w_single)
-        return (2.0 / (n * n) * g_pair - 2.0 / n * g_single) * sprime
+        rows_pair, g_pair = kernel.grad_sum_mapped(u, u, np.ones(n))
+        rows_single, g_single = kernel.grad_sum_mapped(u, ua, w_single)
+        value = float(rows_pair.sum()) / (n * n) - 2.0 * float(rows_single.mean())
+        return value, (2.0 / (n * n) * g_pair - 2.0 / n * g_single) * sprime
 
-    return _Objective(fun, grad, _clip_interior, double_est)
+    return _Objective(fun, grad, _sciopt.Bounds(_BOUNDARY_MARGIN, 1.0 - _BOUNDARY_MARGIN))
 
 
 def build_objective(kernel: Kernel, n: int,
@@ -231,7 +222,13 @@ def descend_physical(kernel: Kernel, start: PointSet,
                      config: OptimizerConfig | None = None,
                      mc: MonteCarlo | None = None,
                      ) -> tuple[PointSet, DiscrepancyReport, DescentTrace]:
-    """Projected gradient descent on the squared discrepancy.
+    """One L-BFGS-B run on the squared discrepancy from ``start``.
+
+    Each evaluation is one call of the objective's fused ``grad``.
+    Periodic kernels descend without bounds and the result is wrapped
+    mod 1; spline points stay in [0, 1] and transported points in
+    [_BOUNDARY_MARGIN, 1 - _BOUNDARY_MARGIN].  A non-finite gradient
+    raises FloatingPointError.
 
     Returns the improved point set, its discrepancy report (exact for
     periodic/spline kernels; for transported ones an estimate on the
@@ -241,72 +238,31 @@ def descend_physical(kernel: Kernel, start: PointSet,
     config = config or OptimizerConfig()
     if kernel.dim != start.dim:
         raise ValueError("kernel/point dimension mismatch")
-    n = start.n
-    obj = build_objective(kernel, n, mc)
-    step0 = config.step_size if config.step_size is not None else 0.1 / n
-    gtol = config.gradient_tolerance if config.gradient_tolerance is not None else 1e-9 * n
+    shape = start.coords.shape
+    obj = build_objective(kernel, start.n, mc)
+    trace = DescentTrace()
 
-    y = obj.project(start.coords.copy())
-    f = obj.fun(y)
-    trace = DescentTrace(objectives=[f])
-    best_y, best_f = y.copy(), f
-    step = step0
-    stall = 0
-    restarts = 0
-
-    for it in range(config.max_iterations):
-        trace.iterations = it + 1
-        g = obj.grad(y)
+    def value_and_grad(flat: np.ndarray) -> tuple[float, np.ndarray]:
+        value, g = obj.grad(flat.reshape(shape))
         if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient at iteration {it}")
-        gnorm = float(np.linalg.norm(g))
-        if gnorm < gtol:
-            trace.stopped_by = "gradient"
-            break
-        if config.step_schedule == "constant":
-            y = obj.project(y - step * g)
-            f_new = obj.fun(y)
-        else:
-            f_new = f
-            trial = step
-            accepted = False
-            for _ in range(40):
-                cand = obj.project(y - trial * g)
-                f_cand = obj.fun(cand)
-                if f_cand < f - 1e-4 * trial * gnorm * gnorm:
-                    y, f_new = cand, f_cand
-                    accepted = True
-                    # gentle growth keeps the search adaptive
-                    step = trial * 1.5
-                    break
-                trial /= 2.0
-            if not accepted:
-                stall = config.stall_iterations  # force restart logic below
-        decrease = f - f_new
-        f = min(f, f_new)
-        trace.objectives.append(f)
-        if f < best_f:
-            best_f, best_y = f, y.copy()
-        if config.objective_tolerance > 0 and 0 <= decrease < config.objective_tolerance:
-            trace.stopped_by = "objective"
-            break
-        rel = decrease / max(abs(f), 1e-300)
-        if rel < 1e-13:
-            stall += 1
-        else:
-            stall = 0
-        if stall >= config.stall_iterations:
-            if restarts >= config.max_restarts:
-                trace.stopped_by = "stalled"
-                break
-            restarts += 1
-            stall = 0
-            y = best_y.copy()
-            f = best_f
-            step = step * 10.0
-    trace.restarts = restarts
+            raise FloatingPointError(f"non-finite gradient at iteration {trace.iterations}")
+        if not trace.objectives:
+            trace.objectives.append(value)  # L-BFGS-B evaluates the start first
+        return value, g.ravel()
 
-    points = PointSet(obj.project(best_y))
+    def record(intermediate_result) -> None:
+        trace.iterations += 1
+        trace.objectives.append(float(intermediate_result.fun))
+
+    out = _sciopt.minimize(
+        value_and_grad, start.coords.ravel(), jac=True, method="L-BFGS-B",
+        bounds=obj.bounds, callback=record,
+        options={"maxiter": config.max_iterations, "ftol": _DESCENT_FTOL,
+                 "gtol": _DESCENT_GTOL},
+    )
+    trace.stopped_by = _STOPPED_BY.get(out.status, "stalled")
+    y = out.x.reshape(shape)
+    points = PointSet(np.mod(y, 1.0) if obj.bounds is None else y)
     if isinstance(kernel, PeriodicKernel):
         report = periodic_error(kernel, points)
     elif isinstance(kernel, SplineKernel):
@@ -475,7 +431,7 @@ def optimize_points(kernel: Kernel, n: int, seed: int,
                     ) -> tuple[PointSet, DiscrepancyReport, dict]:
     """The full optimized-points pipeline for one table cell.
 
-    Random start, gradient descent, then (periodic kernels) refinement by
+    Random start, L-BFGS-B descent, then (periodic kernels) refinement by
     the annihilation system over the N largest nonzero-coefficient
     indices, keeping whichever point set scores better.  The transported
     Gaussian kernel, whose descent landscape is nearly flat, additionally
@@ -504,14 +460,6 @@ def optimize_points(kernel: Kernel, n: int, seed: int,
         candidate = periodic_error(kernel, refined.points)
         if candidate.value < report.value:
             points, report = refined.points, candidate
-        if refined.residual >= 1e-8:
-            # descent parked in a poor basin; retry annihilation from the
-            # raw random start
-            alt = solve_cond1(problem, start, config)
-            alt_rep = periodic_error(kernel, alt.points)
-            if alt_rep.value < report.value:
-                points, report = alt.points, alt_rep
-                info["cond1_residual"] = alt.residual
 
     if isinstance(kernel, TransportedKernel) and kernel.family == "gauss" and n > 1:
         # the nearly-flat landscape can park descent close to the random

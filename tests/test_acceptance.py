@@ -136,8 +136,8 @@ def test_criterion_3_random_baseline_statistics():
 
 def test_criterion_4_optimized_beats_random():
     t0 = time.time()
-    # 300 descent iterations suffice: the smooth kernels keep creeping
-    # for thousands of iterations, but the annihilation refinement does
+    # 300 L-BFGS-B descent iterations suffice: the smooth kernels often
+    # reach the cap still improving, but the annihilation refinement does
     # the deep reduction and the margins over random are wide
     config = OptimizerConfig(max_iterations=300)
     failures = []
@@ -311,7 +311,7 @@ def test_criterion_7_property_suites():
         mc = MonteCarlo(2048, 3) if kid.startswith("tra") else None
         obj = build_objective(kernel, 10, mc)
         y = 0.05 + 0.9 * rng.random((10, 2))
-        gvec = obj.grad(y)
+        _, gvec = obj.grad(y)
         for _ in range(6):
             i, d = rng.integers(10), rng.integers(2)
             yp = y.copy()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from kerndisc.discrepancy import MonteCarlo, periodic_error, physical_error
-from kerndisc.kernels import FAMILIES, PeriodicKernel, SplineKernel, TransportedKernel
+from kerndisc.kernels import (FAMILIES, PeriodicKernel, SplineKernel, TransportedKernel,
+                              kernel_from_id)
 from kerndisc.lattice import enumerate_decreasing, tail_mass
 from kerndisc.optimize import (Cond1Problem, OptimizerConfig, box_targets, build_objective,
                                canonical_grid, cond1_functional, cond1_gradient,
@@ -27,7 +28,7 @@ def test_periodic_gradient_matches_fd(fam):
         obj = build_objective(PeriodicKernel(fam, dim), 10)
         rng = np.random.default_rng(fam.__hash__() % 100 + dim)
         y = 0.05 + 0.9 * rng.random((10, dim))
-        g = obj.grad(y)
+        _, g = obj.grad(y)
         for _ in range(10):
             i, d = rng.integers(10), rng.integers(dim)
             fd = central_difference(obj.fun, y, i, d)
@@ -39,7 +40,7 @@ def test_spline_gradient_matches_fd():
         obj = build_objective(SplineKernel(dim), 9)
         rng = np.random.default_rng(dim)
         y = 0.05 + 0.9 * rng.random((9, dim))
-        g = obj.grad(y)
+        _, g = obj.grad(y)
         for _ in range(10):
             i, d = rng.integers(9), rng.integers(dim)
             fd = central_difference(obj.fun, y, i, d)
@@ -51,7 +52,7 @@ def test_transported_gradient_matches_fd(fam):
     obj = build_objective(TransportedKernel(fam, 2), 8, MonteCarlo(2048, 3))
     rng = np.random.default_rng(17)
     y = 0.1 + 0.8 * rng.random((8, 2))
-    g = obj.grad(y)
+    _, g = obj.grad(y)
     for _ in range(8):
         i, d = rng.integers(8), rng.integers(2)
         fd = central_difference(obj.fun, y, i, d)
@@ -60,7 +61,7 @@ def test_transported_gradient_matches_fd(fam):
 
 def test_gradient_vanishes_at_midpoint_grid():
     obj = build_objective(SplineKernel(1), 16)
-    g = obj.grad(midpoint_1d(16).coords)
+    _, g = obj.grad(midpoint_1d(16).coords)
     assert np.linalg.norm(g) < 1e-10
 
 
@@ -71,7 +72,7 @@ def test_permutation_symmetry():
     y = rng.random((12, 2))
     perm = rng.permutation(12)
     assert obj.fun(y[perm]) == pytest.approx(obj.fun(y), rel=1e-14)
-    assert np.allclose(obj.grad(y)[perm], obj.grad(y[perm]), atol=1e-12)
+    assert np.allclose(obj.grad(y)[1][perm], obj.grad(y[perm])[1], atol=1e-12)
 
 
 def test_spline_descent_reaches_equally_spaced():
@@ -97,6 +98,51 @@ def test_descent_monotone_trace_and_improvement():
     assert rep.value < periodic_error(k, start).value
 
 
+FUSED_CASES = ([(f"per-{fam}", dim, n) for fam in FAMILIES for dim in (1, 2, 8)
+                for n in (10, 130)]
+               + [("spline", dim, n) for dim in (1, 3) for n in (10, 130)]
+               + [(f"tra-{fam}", 2, n) for fam in FAMILIES for n in (10, 130)])
+
+
+@pytest.mark.parametrize("kernel_id,dim,n", FUSED_CASES)
+def test_fused_value_matches_fun(kernel_id, dim, n):
+    # grad sums whole Gram column blocks of its gradient pass (transported:
+    # the row sums of the gradient's kernel matrices); fun sums the 128 x
+    # 128 tiles of pair_mean on or above the diagonal (transported: the
+    # kernel_mapped matrices).  N = 130 crosses the tile edge.
+    obj = build_objective(kernel_from_id(kernel_id, dim), n, MonteCarlo(2048, 3))
+    y = uniform_points(1000 * dim + n, n, dim).coords
+    value, _ = obj.grad(y)
+    # periodic fun is the Gram mean minus 1: compare the means, since
+    # that subtraction alone can leave an ulp of 1 in a small E^2
+    shift = 1.0 if kernel_id.startswith("per-") else 0.0
+    assert value + shift == pytest.approx(obj.fun(y) + shift, rel=1e-13, abs=0.0)
+
+
+def test_descent_stays_in_domain():
+    cfg = OptimizerConfig(max_iterations=300)
+    # edge coordinates start outside the transported box and are moved in
+    start = uniform_points(3, 16, 2).coords.copy()
+    start[0], start[1] = 0.0, 1.0
+    pts, _, _ = descend_physical(TransportedKernel("gauss", 2), PointSet(start), cfg,
+                                 MonteCarlo(2048, 3))
+    assert pts.coords.min() >= 1e-7 and pts.coords.max() <= 1.0 - 1e-7
+    # this spline descent ends on both faces of the cube
+    pts, _, _ = descend_physical(SplineKernel(2), uniform_points(3, 16, 2), cfg)
+    assert pts.coords.min() >= 0.0 and pts.coords.max() <= 1.0
+    # the periodic descent is unbounded (its iterates leave the cube here)
+    # and its result is wrapped
+    pts, _, _ = descend_physical(PeriodicKernel("gauss", 2), uniform_points(1, 16, 2), cfg)
+    assert pts.coords.min() >= 0.0 and pts.coords.max() < 1.0
+
+
+def test_iteration_cap_stops_descent():
+    pts, rep, trace = descend_physical(PeriodicKernel("gauss", 2), uniform_points(1, 16, 2),
+                                       OptimizerConfig(max_iterations=1))
+    assert trace.stopped_by == "max_iterations"
+    assert trace.iterations == 1 and len(trace.objectives) == 2
+
+
 def test_descent_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
         descend_physical(PeriodicKernel("exp", 2), uniform_points(0, 8, 1))
@@ -105,17 +151,8 @@ def test_descent_rejects_dimension_mismatch():
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(step_schedule="newton")
-    with pytest.raises(ValueError):
-        OptimizerConfig(step_size=-0.1)
-
-
-def test_constant_step_schedule_runs():
-    k = PeriodicKernel("gauss", 1)
-    cfg = OptimizerConfig(max_iterations=50, step_size=0.01, step_schedule="constant")
-    pts, rep, trace = descend_physical(k, uniform_points(2, 8, 1), cfg)
-    assert trace.iterations <= 50
+    with pytest.raises(TypeError):
+        OptimizerConfig(step_size=0.1)
 
 
 def test_canonical_grid_construction():
@@ -245,7 +282,7 @@ def test_descent_aborts_on_nonfinite_gradient(monkeypatch):
 
     def poisoned(kernel, n, mc=None):
         obj = real(kernel, n, mc)
-        obj.grad = lambda y: np.full_like(y, np.nan)
+        obj.grad = lambda y: (0.0, np.full_like(y, np.nan))
         return obj
 
     monkeypatch.setattr(op, "build_objective", poisoned)
