@@ -86,8 +86,9 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _table_values(kernel_id: str, mode: str, n_list, d_list, base_seed: int,
-                  mc_samples: int, max_iters: int | None, threads: int | None):
+def table_values(kernel_id: str, mode: str, n_list, d_list, base_seed: int,
+                 mc_samples: int, max_iters: int | None, threads: int | None):
+    """{(N, D): (E, failed)} over the grid, one independent job per cell."""
     jobs = [(n, d) for n in n_list for d in d_list]
 
     def run(cell):
@@ -110,18 +111,12 @@ def _table_values(kernel_id: str, mode: str, n_list, d_list, base_seed: int,
     return {job: res for job, res in zip(jobs, results)}
 
 
-def cmd_table(args) -> int:
-    n_list = _parse_int_list(args.N)
-    d_list = _parse_int_list(args.D)
-    mode = args.mode
-    kernel0 = kernel_from_id(args.kernel, d_list[0])  # validates the id
-    if mode == "asymptotic" and not isinstance(kernel0, PeriodicKernel):
-        raise ValueError("asymptotic mode is defined for periodic kernels only")
-    values = _table_values(args.kernel, mode, n_list, d_list, args.seed,
-                           args.mc_samples, args.max_iters, args.threads)
+def render_table(kernel_id: str, mode: str, seed: int, n_list, d_list, values,
+                 fmt: str) -> str:
+    """The ``table_values`` grid as markdown or CSV text."""
     out = io.StringIO()
-    if args.format == "markdown":
-        out.write(f"# E_K for {args.kernel}, mode={mode}, seed={args.seed}\n\n")
+    if fmt == "markdown":
+        out.write(f"# E_K for {kernel_id}, mode={mode}, seed={seed}\n\n")
         out.write("| |" + "|".join(f" D= {d} " for d in d_list) + "|\n")
         out.write("|---" * (len(d_list) + 1) + "|\n")
         for n in n_list:
@@ -131,13 +126,26 @@ def cmd_table(args) -> int:
                 cells.append(f" {v:.3f}{'*' if failed else ''} ")
             out.write(f"| N= {n} |" + "|".join(cells) + "|\n")
     else:
-        out.write(f"# kernel={args.kernel} mode={mode} seed={args.seed}\n")
+        out.write(f"# kernel={kernel_id} mode={mode} seed={seed}\n")
         out.write("N,D,value,value_full,flag\n")
         for n in n_list:
             for d in d_list:
                 v, failed = values[(n, d)]
                 out.write(f"{n},{d},{v:.3f},{v:.17g},{int(failed)}\n")
-    _emit(args.out, out.getvalue())
+    return out.getvalue()
+
+
+def cmd_table(args) -> int:
+    n_list = _parse_int_list(args.N)
+    d_list = _parse_int_list(args.D)
+    mode = args.mode
+    kernel0 = kernel_from_id(args.kernel, d_list[0])  # validates the id
+    if mode == "asymptotic" and not isinstance(kernel0, PeriodicKernel):
+        raise ValueError("asymptotic mode is defined for periodic kernels only")
+    values = table_values(args.kernel, mode, n_list, d_list, args.seed,
+                          args.mc_samples, args.max_iters, args.threads)
+    _emit(args.out, render_table(args.kernel, mode, args.seed, n_list, d_list, values,
+                                 args.format))
     return EXIT_OK
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "MonteCarlo",
     "UnsupportedMethodError",
     "check_array_bytes",
+    "sample_blocks",
     "physical_error",
     "periodic_error",
     "periodic_error_sp",
@@ -37,10 +38,10 @@ __all__ = [
     "asymptotic_error",
 ]
 
-# the row sums of the MC estimator run over blocks of at most _MC_BLOCK
-# samples and _MC_BLOCK_PAIRS sample-point pairs (8192 rows up to N = 64)
-_MC_BLOCK = 8192
-_MC_BLOCK_PAIRS = 8192 * 64
+# every pass over MC samples against a point set runs in blocks of about
+# _SAMPLE_BLOCK_PAIRS sample-point pairs, so a block's (rows, N) and
+# (rows, D) temporaries stay in a core's L2 cache
+_SAMPLE_BLOCK_PAIRS = 512 * 64
 # the largest array a size-checked allocation may make
 MAX_ARRAY_BYTES = 2**30
 # the held-out MC stream of a MonteCarlo spec has seed ^ _HELD_OUT_XOR
@@ -52,6 +53,14 @@ def check_array_bytes(count: int, itemsize: int, what: str) -> None:
     if count * itemsize > MAX_ARRAY_BYTES:
         raise ValueError(f"{what} would need {count * itemsize / 2**30:.1f} GiB "
                          f"in one array (limit {MAX_ARRAY_BYTES / 2**30:.0f} GiB)")
+
+
+def sample_blocks(samples: int, n: int) -> list[slice]:
+    """Slices of the sample axis, each of at most _SAMPLE_BLOCK_PAIRS // n
+    samples (at least one), for a pass over ``samples`` MC samples against
+    ``n`` points."""
+    rows = max(1, _SAMPLE_BLOCK_PAIRS // n)
+    return [slice(lo, min(lo + rows, samples)) for lo in range(0, samples, rows)]
 
 
 class UnsupportedMethodError(ValueError):
@@ -69,13 +78,14 @@ class MonteCarlo:
         if self.samples < 2:
             raise ValueError("samples must be >= 2")
 
-    def draw(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
-        """The sample sets a, then b, each (samples, dim), from MT19937(seed)."""
+    def draw(self, dim: int, sets: int) -> list[np.ndarray]:
+        """The first ``sets`` sample sets a, b, ..., each (samples, dim),
+        one after another from MT19937(seed); a is the same whatever
+        ``sets`` is."""
         check_array_bytes(self.samples * dim, 8, f"{self.samples} MC samples at D={dim}")
         gen = MT19937(self.seed)
-        a = gen.random(self.samples * dim).reshape(self.samples, dim)
-        b = gen.random(self.samples * dim).reshape(self.samples, dim)
-        return a, b
+        return [gen.random(self.samples * dim).reshape(self.samples, dim)
+                for _ in range(sets)]
 
     def held_out(self) -> "MonteCarlo":
         """The same size on an independent stream, seed ^ 0x5A5A5A5A.
@@ -166,21 +176,23 @@ def physical_error(kernel: Kernel, points: PointSet,
 
 
 def _physical_error_mc(kernel: Kernel, points: PointSet, mc: MonteCarlo) -> DiscrepancyReport:
+    """The shared-sample estimator: the mean over j of
+    K(a_j, b_j) - (2/N) sum_n K(a_j, y^n), plus the Gram mean.
+
+    Each block of ``sample_blocks`` is mapped (the transport of a tra-*
+    kernel), paired and summed against the point set while it is in
+    cache.  Every sample's term is formed within its own row, so the
+    block size does not change a digit of the result.
+    """
     m, n = mc.samples, points.n
-    a, b = mc.draw(points.dim)
-    # each sample set is mapped once (the transport of a tra-* kernel) and
-    # the raw draws are freed; the estimator reads the mapped coordinates
-    a = kernel.map_points(a)
-    b = kernel.map_points(b)
-    pair_vals = kernel.elementwise_mapped(a, b)
-    del b
+    a, b = mc.draw(points.dim, 2)
     y = kernel.map_points(points.coords)
-    # row sums of K(a_j, y^n) over the point set, blocked over samples
-    rows = max(1, min(_MC_BLOCK, _MC_BLOCK_PAIRS // n))
-    row_sums = np.empty(m)
-    for lo in range(0, m, rows):
-        row_sums[lo:lo + rows] = kernel.kernel_mapped(a[lo:lo + rows], y).sum(axis=1)
-    stat = pair_vals - (2.0 / points.n) * row_sums
+    stat = np.empty(m)
+    for blk in sample_blocks(m, n):
+        ua = kernel.map_points(a[blk])
+        pair_vals = kernel.elementwise_mapped(ua, kernel.map_points(b[blk]))
+        row_sums = kernel.kernel_mapped(ua, y).sum(axis=1)
+        stat[blk] = pair_vals - (2.0 / n) * row_sums
     gram_mean = _gram_mean(kernel, points)
     squared = float(stat.mean()) + gram_mean
     se_sq = float(stat.std(ddof=1) / math.sqrt(m))

@@ -21,7 +21,7 @@ from scipy import optimize as _sciopt
 
 from . import lattice
 from .discrepancy import (DiscrepancyReport, MonteCarlo, check_array_bytes, periodic_error,
-                          physical_error)
+                          physical_error, sample_blocks)
 from .kernels import Kernel, PeriodicKernel, SplineKernel, TransportedKernel
 from .lattice import LatticeIndex
 from .rkhs import PointSet
@@ -185,23 +185,32 @@ def _spline_objective(kernel: SplineKernel, n: int) -> _Objective:
 
 
 def _transported_objective(kernel: TransportedKernel, n: int, mc: MonteCarlo) -> _Objective:
-    # E^2 = fun + (the double integral), a constant the descent drops
-    a, _ = mc.draw(kernel.dim)
+    # E^2 = fun + (the double integral), a constant the descent drops; the
+    # single integrals read only the first sample set a, frozen and mapped
+    (a,) = mc.draw(kernel.dim, 1)
     ua = kernel.map_points(a)
     w_single = np.full(mc.samples, 1.0 / mc.samples)
+    blocks = sample_blocks(mc.samples, n)
 
     def fun(y: np.ndarray) -> float:
         u = kernel.transport.apply(y)
         pair = float(kernel.kernel_mapped(u, u).mean())
-        single = float(kernel.kernel_mapped(u, ua).mean(axis=1).mean())
-        return pair - 2.0 * single
+        single = np.zeros(n)
+        for blk in blocks:
+            single += kernel.kernel_mapped(u, ua[blk]) @ w_single[blk]
+        return pair - 2.0 * float(single.mean())
 
     def grad(y: np.ndarray) -> tuple[float, np.ndarray]:
         u = kernel.transport.apply(y)
-        sprime = kernel.transport.apply_prime(y)
         rows_pair, g_pair = kernel.grad_sum_mapped(u, u, np.ones(n))
-        rows_single, g_single = kernel.grad_sum_mapped(u, ua, w_single)
+        rows_single = np.zeros(n)
+        g_single = np.zeros((n, kernel.dim))
+        for blk in blocks:
+            rows, g = kernel.grad_sum_mapped(u, ua[blk], w_single[blk])
+            rows_single += rows
+            g_single += g
         value = float(rows_pair.sum()) / (n * n) - 2.0 * float(rows_single.mean())
+        sprime = kernel.transport.prime_mapped(u)
         return value, (2.0 / (n * n) * g_pair - 2.0 / n * g_single) * sprime
 
     return _Objective(fun, grad, _sciopt.Bounds(_BOUNDARY_MARGIN, 1.0 - _BOUNDARY_MARGIN))

@@ -91,12 +91,28 @@ def test_transport_map_round_trip():
     assert tm.apply(np.full((1, 3), 0.5)) == pytest.approx(np.zeros((1, 3)))
 
 
+def _mp_transport(x):
+    # S(x) = erfinv(2x - 1) at 40 digits; each double x is exact there,
+    # so 2x - 1 loses nothing before the inversion
+    import mpmath
+
+    with mpmath.workdps(40):
+        return np.vectorize(lambda t: float(mpmath.erfinv(2 * mpmath.mpf(float(t)) - 1)))(x)
+
+
+def test_transport_map_matches_mpmath():
+    xs = np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.3, 0.5 - 1e-9, 0.7, 1 - 1e-6, 1 - 1e-12])
+    ref = _mp_transport(xs)
+    got = TransportMap(1).apply(xs[:, None])[:, 0]
+    assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref)), np.abs(got / ref - 1)
+
+
 def test_transport_map_prime_matches_fd():
     tm = TransportMap(1)
     x = np.array([[0.2], [0.5], [0.9]])
     h = 1e-7
     fd = (tm.apply(x + h) - tm.apply(x - h)) / (2 * h)
-    assert np.allclose(tm.apply_prime(x), fd, rtol=1e-5)
+    assert np.allclose(tm.prime_mapped(tm.apply(x)), fd, rtol=1e-5)
 
 
 # --- seed kernels ---------------------------------------------------------
@@ -297,10 +313,9 @@ def _seed_formula(k, u, v):
 
 
 def test_transported_matches_mapped_formula():
-    # eval factorizes through S: independent inline formulas, with rows at
-    # the clamp edge and rows coinciding across and within the two sets
-    from scipy.special import erfinv as scipy_erfinv
-
+    # eval factorizes through S: independent inline formulas on an
+    # mpmath transport, with rows at the clamp edge and rows coinciding
+    # across and within the two sets
     rng = np.random.default_rng(2)
     for dim in (2, 16, 128):
         x = rng.random((8, dim))
@@ -309,8 +324,8 @@ def test_transported_matches_mapped_formula():
         y[1] = 1.0 - 1e-13
         y[2] = x[3]
         x[5] = x[4]
-        sx = scipy_erfinv(2 * np.clip(x, 1e-12, 1 - 1e-12) - 1)
-        sy = scipy_erfinv(2 * np.clip(y, 1e-12, 1 - 1e-12) - 1)
+        sx = _mp_transport(np.clip(x, 1e-12, 1 - 1e-12))
+        sy = _mp_transport(np.clip(y, 1e-12, 1 - 1e-12))
         for fam in FAMILIES:
             k = TransportedKernel(fam, dim)
             ref = _seed_formula(k, sx[:, None, :], sy[None, :, :])

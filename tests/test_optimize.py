@@ -49,14 +49,16 @@ def test_spline_gradient_matches_fd():
 
 @pytest.mark.parametrize("fam", FAMILIES)
 def test_transported_gradient_matches_fd(fam):
-    obj = build_objective(TransportedKernel(fam, 2), 8, MonteCarlo(2048, 3))
-    rng = np.random.default_rng(17)
-    y = 0.1 + 0.8 * rng.random((8, 2))
-    _, g = obj.grad(y)
-    for _ in range(8):
-        i, d = rng.integers(8), rng.integers(2)
-        fd = central_difference(obj.fun, y, i, d)
-        assert g[i, d] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+    # N = 64 at 2^14 samples spans many sample blocks (512 samples each)
+    for n, mc in ((8, MonteCarlo(2048, 3)), (64, MonteCarlo(2**14, 3))):
+        obj = build_objective(TransportedKernel(fam, 2), n, mc)
+        rng = np.random.default_rng(17)
+        y = 0.1 + 0.8 * rng.random((n, 2))
+        _, g = obj.grad(y)
+        for _ in range(8):
+            i, d = rng.integers(n), rng.integers(2)
+            fd = central_difference(obj.fun, y, i, d)
+            assert g[i, d] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
 def test_gradient_vanishes_at_midpoint_grid():
@@ -101,7 +103,7 @@ def test_descent_monotone_trace_and_improvement():
 FUSED_CASES = ([(f"per-{fam}", dim, n) for fam in FAMILIES for dim in (1, 2, 8)
                 for n in (10, 130)]
                + [("spline", dim, n) for dim in (1, 3) for n in (10, 130)]
-               + [(f"tra-{fam}", 2, n) for fam in FAMILIES for n in (10, 130)])
+               + [(f"tra-{fam}", 2, n) for fam in FAMILIES for n in (10, 64, 130)])
 
 
 @pytest.mark.parametrize("kernel_id,dim,n", FUSED_CASES)
@@ -109,8 +111,10 @@ def test_fused_value_matches_fun(kernel_id, dim, n):
     # grad sums whole Gram column blocks of its gradient pass (transported:
     # the row sums of the gradient's kernel matrices); fun sums the 128 x
     # 128 tiles of pair_mean on or above the diagonal (transported: the
-    # kernel_mapped matrices).  N = 130 crosses the tile edge.
-    obj = build_objective(kernel_from_id(kernel_id, dim), n, MonteCarlo(2048, 3))
+    # kernel_mapped matrices).  N = 130 crosses the tile edge; tra at
+    # N = 64 reads 2^14 samples, which span many sample blocks.
+    mc = MonteCarlo(2**14 if n == 64 else 2048, 3)
+    obj = build_objective(kernel_from_id(kernel_id, dim), n, mc)
     y = uniform_points(1000 * dim + n, n, dim).coords
     value, _ = obj.grad(y)
     # periodic fun is the Gram mean minus 1: compare the means, since
