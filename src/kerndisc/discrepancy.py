@@ -230,6 +230,9 @@ def periodic_error_sp(kernel: PeriodicKernel, points: PointSet, params: NormPara
     largest-coefficient nonzero indices (default: first 10 N enumerated
     terms); for s >= 1 the analytic bound on the omitted tail, including
     the rounding error of the tail mass, is reported as metadata.
+
+    The exponent is ``params.p`` itself, while ``spectral_error`` uses
+    the conjugate p' = p/(p-1); the two conventions agree only at p = 2.
     """
     if not isinstance(kernel, PeriodicKernel):
         raise UnsupportedMethodError("periodic_error_sp requires a periodic kernel")
@@ -278,6 +281,10 @@ def spectral_error(points: PointSet, params: NormParams | None = None,
     weighted sum (sum lambda^{s p'/2} |c|^{p'})^{1/p'}; p = 1 uses the
     sup over computed terms.  The geometric tail bound from the
     eigenvalue decay is reported as metadata.
+
+    The exponent is the conjugate p' = p/(p-1) of ``params.p``, while
+    ``periodic_error_sp`` uses p itself; the two conventions agree only
+    at p = 2.
 
     The truncated head converges only like 1/max_index.  When every
     coordinate lies on a rational grid the coefficient sequence is

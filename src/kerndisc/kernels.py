@@ -461,32 +461,77 @@ class PeriodicKernel(Kernel):
         g *= tau
         return g
 
-    def factor_prime_block(self, setup, d: int, rows: slice, cols: slice) -> np.ndarray:
-        """d/dt chi(t) at t = x_d - y_d, the block of ``factor_block``."""
-        if self.family in ("exp", "trunc"):
-            (t,) = setup
-            return self.factor_prime(np.subtract.outer(t[d, rows], t[d, cols]))
-        cos, sin = setup
-        c = self._cos_block(setup, d, rows, cols)
-        # sin 2 pi (x - y)
-        s = np.multiply.outer(sin[d, rows], cos[d, cols])
-        s -= np.multiply.outer(cos[d, rows], sin[d, cols])
-        if self.family == "mq":
-            q = self.q
-            den = 1.0 + q * q - 2.0 * q * c
-            return -(1.0 - q * q) * 4.0 * math.pi * q * s / (den * den)
-        # pi theta_3'(pi t) = -4 pi sum k q^{k^2} sin(2 pi k t), and
-        # sin(2 pi k t) = s U_{k-1}(c), U_k = 2c U_{k-1} - U_{k-2}
-        two_c = 2.0 * c
-        u_prev, u_k = np.zeros_like(c), np.ones_like(c)
-        acc = np.zeros_like(c)
-        for k, w in enumerate(self._theta_weights, start=1):
-            if k > 1:
-                u_prev, u_k = u_k, two_c * u_k - u_prev
-            acc += (k * w) * u_k
-        acc *= s
-        acc *= -4.0 * math.pi
-        return acc
+    def factor_logderiv_block(self, setup, d: int, rows: slice,
+                              cols: slice) -> tuple[np.ndarray, np.ndarray]:
+        """(chi, chi'/chi) at t = x_d - y_d, for the block of ``factor_block``.
+
+        chi is bit-identical to ``factor_block``; the log-derivative reuses
+        its intermediates.  Every factor is strictly positive except the
+        truncated one at D = 1, which vanishes at |t| = 1/2 exactly; there
+        chi' = 0 (the symmetric subgradient) is returned in place of
+        0/0.  At t = 0 the log-derivative is 0 for every family.
+        """
+        if self.family in ("mq", "gauss"):
+            cos, sin = setup
+            c = self._cos_block(setup, d, rows, cols)
+            # sin 2 pi (x - y)
+            s = np.multiply.outer(sin[d, rows], cos[d, cols])
+            s -= np.multiply.outer(cos[d, rows], sin[d, cols])
+            if self.family == "mq":
+                # chi'/chi = -4 pi q sin(2 pi t) / (1 + q^2 - 2 q cos(2 pi t))
+                q = self.q
+                c *= -2.0 * q
+                c += 1.0 + q * q
+                chi = np.divide(1.0 - q * q, c)
+                s *= -4.0 * math.pi * q
+                return chi, np.divide(s, c, out=s)
+            # theta_3 = 1 + 2 sum w_k T_k(c) as in factor_block, and
+            # pi theta_3'(pi t) = -4 pi s sum k w_k U_{k-1}(c), with
+            # T and U on the same recurrence 2c X_k - X_{k-1}
+            weights = self._theta_weights
+            chi = 2.0 * weights[0] * c
+            chi += 1.0
+            acc = np.full_like(c, weights[0])
+            if len(weights) > 1:
+                two_c = 2.0 * c
+                t_prev, t_k = np.ones_like(c), c
+                u_prev, u_k = 0.0, 1.0
+                for k, w in enumerate(weights[1:], start=2):
+                    t_prev, t_k = t_k, two_c * t_k - t_prev
+                    u_prev, u_k = u_k, two_c * u_k - u_prev
+                    chi += (2.0 * w) * t_k
+                    acc += (k * w) * u_k
+            acc *= s
+            acc *= -4.0 * math.pi
+            acc /= chi
+            return chi, acc
+        (t,) = setup
+        tau = self.tau
+        g = np.subtract.outer(t[d, rows], t[d, cols])
+        sign = np.sign(g)
+        np.abs(g, out=g)
+        g *= tau
+        if self.family == "exp":
+            # chi'/chi = tau sign(t) tanh(tau (|t| - 1/2))
+            g -= tau / 2.0
+            ratio = np.tanh(g)
+            ratio *= sign
+            ratio *= tau
+            np.cosh(g, out=g)
+            g *= (tau / 2.0) / math.sinh(tau / 2.0)
+            return g, ratio
+        # chi' = -tau^2 sign(t) (1{h < 1} - 1{h > tau - 1}), h = tau |t| in g
+        prime = (g > tau - 1.0).astype(float)
+        prime -= g < 1.0
+        prime *= sign
+        prime *= tau * tau
+        hat = 1.0 - g
+        np.maximum(hat, 0.0, out=hat)
+        g -= tau - 1.0
+        np.maximum(g, 0.0, out=g)
+        g += hat
+        g *= tau
+        return g, np.divide(prime, g, out=prime, where=g > 0.0)
 
     def gram_block(self, setup, rows: slice, cols: slice) -> np.ndarray:
         out = self.factor_block(setup, 0, rows, cols)

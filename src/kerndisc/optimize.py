@@ -4,11 +4,18 @@ annihilation system, canonical grids, and the 1-D closed form.
 Descent minimizes the squared discrepancy directly (for periodic kernels
 the constant integral terms drop, leaving the mean of the Gram matrix)
 with SciPy's L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995).  Each evaluation is
-one kernel pass that yields the value and the gradient together.  The
-annihilation system drives I(Y) = sum_n |sum_m exp(2 i pi <y^m,
-alpha^n>)|^2 to zero over a target set of nonzero lattice indices; its
-residual I(Y)/N^2 bounds the discrepancy head, leaving only the
-coefficient tail.
+one kernel pass that yields the value and the gradient together.  For
+periodic kernels the pass runs over blocks of Gram columns: the Gram
+block K is the running product of the factor blocks chi_d, and the
+gradient comes from the log-derivative identity dK/dx_d = K chi'_d /
+chi_d, with chi'/chi built beside chi (every periodic factor is strictly
+positive; the one zero, trunc at D = 1, carries the zero subgradient).
+Spline factors vanish on the boundary, so the spline gradient keeps
+prefix and suffix products.  The annihilation system drives I(Y) =
+sum_n |sum_m exp(2 i pi <y^m, alpha^n>)|^2 to zero over a target set of
+nonzero lattice indices, taking the value and the gradient from one set
+of exponentials per evaluation; its residual I(Y)/N^2 bounds the
+discrepancy head, leaving only the coefficient tail.
 """
 
 from __future__ import annotations
@@ -48,6 +55,9 @@ _DESCENT_FTOL = 1e-15
 _DESCENT_GTOL = 1e-12
 # L-BFGS-B exit status -> DescentTrace.stopped_by; any other status is "stalled"
 _STOPPED_BY = {0: "converged", 1: "max_iterations"}
+# doubles held by the D log-derivative blocks of one column block of the
+# periodic gradient pass (32 MB)
+_LOGDERIV_DOUBLES = 1 << 22
 
 
 @dataclass
@@ -90,7 +100,8 @@ class _Objective:
 
 
 def _tensor_pair_grad(n: int, dim: int, factor_fn, prime_fn) -> tuple[float, np.ndarray]:
-    """The Gram sum and the gradient row-sums over ordered pairs.
+    """The Gram sum and the gradient row-sums over ordered pairs, for
+    factors that may vanish (the spline kernel).
 
     Returns (sum_{m,m'} prod_e g_e, 2 sum_m g'_d prod_{e != d} g_e).
     factor_fn/prime_fn(d, cols) evaluate the per-dimension factor and its
@@ -127,20 +138,29 @@ def _periodic_objective(kernel: PeriodicKernel, n: int) -> _Objective:
     # value and gradient both build their factors from the kernel's
     # per-point set-up (angle addition for mq and gauss)
     every = slice(None)
+    dim = kernel.dim
+    block = max(1, min(n, _LOGDERIV_DOUBLES // (dim * n)))
 
     def fun(y: np.ndarray) -> float:
         return kernel.pair_mean(y) - 1.0
 
     def grad(y: np.ndarray) -> tuple[float, np.ndarray]:
+        # log-derivative pass: dK/dx_d = K chi'_d / chi_d over a column
+        # block, with K the running product of the factor blocks.  The
+        # diagonal pair needs no mask: chi'/chi is exactly 0 at t = 0.
         setup = kernel.gram_setup(y)
-
-        def factor_fn(d, cols):
-            return kernel.factor_block(setup, d, every, cols)
-
-        def prime_fn(d, cols):
-            return kernel.factor_prime_block(setup, d, every, cols)
-
-        total, g = _tensor_pair_grad(n, kernel.dim, factor_fn, prime_fn)
+        total = 0.0
+        g = np.zeros((n, dim))
+        for lo in range(0, n, block):
+            cols = slice(lo, min(lo + block, n))
+            ratios = [None] * dim
+            gram, ratios[-1] = kernel.factor_logderiv_block(setup, dim - 1, every, cols)
+            for d in range(dim - 2, -1, -1):
+                chi, ratios[d] = kernel.factor_logderiv_block(setup, d, every, cols)
+                gram *= chi
+            total += float(gram.sum())
+            for d, ratio in enumerate(ratios):
+                g[:, d] += 2.0 * np.einsum("ij,ij->i", gram, ratio)
         return total / (n * n) - 1.0, g / (n * n)
 
     return _Objective(fun, grad, None)
@@ -326,29 +346,32 @@ def _check_cond1_size(problem: Cond1Problem, y: np.ndarray) -> None:
                       f"{y.shape[0]} points x {problem.targets.shape[0]} cond1 targets")
 
 
-def _cond1_sums(problem: Cond1Problem, y: np.ndarray) -> np.ndarray:
+def _cond1_terms(problem: Cond1Problem, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (points, targets) exponentials e and their sums s over the points."""
     _check_cond1_size(problem, y)
     phases = 2.0 * math.pi * (y @ problem.targets.T)
-    return np.exp(1j * phases).sum(axis=0)
+    e = np.exp(1j * phases)
+    return e, e.sum(axis=0)
+
+
+def _cond1_grad_from_terms(problem: Cond1Problem, e: np.ndarray, s: np.ndarray) -> np.ndarray:
+    # d|S_k|^2 / dy_nd = -4 pi alpha_kd Im(conj(S_k) e_{nk})
+    w = np.imag(np.conj(s)[None, :] * e)  # (n, k)
+    return -4.0 * math.pi * (w @ problem.targets)
 
 
 def cond1_functional(problem: Cond1Problem, points: PointSet | np.ndarray) -> float:
     """I(Y) = sum over targets of |sum_m exp(2 i pi <y^m, alpha>)|^2."""
     y = points.coords if isinstance(points, PointSet) else np.asarray(points, dtype=float)
-    s = _cond1_sums(problem, y)
+    _, s = _cond1_terms(problem, y)
     return float(np.sum(np.abs(s) ** 2))
 
 
 def cond1_gradient(problem: Cond1Problem, points: PointSet | np.ndarray) -> np.ndarray:
     """Real gradient of I(Y) with respect to the point coordinates."""
     y = points.coords if isinstance(points, PointSet) else np.asarray(points, dtype=float)
-    _check_cond1_size(problem, y)
-    phases = 2.0 * math.pi * (y @ problem.targets.T)
-    e = np.exp(1j * phases)  # (n, k)
-    s = e.sum(axis=0)
-    # d|S_k|^2 / dy_nd = -4 pi alpha_kd Im(conj(S_k) e_{nk})
-    w = np.imag(np.conj(s)[None, :] * e)  # (n, k)
-    return -4.0 * math.pi * (w @ problem.targets)
+    e, s = _cond1_terms(problem, y)
+    return _cond1_grad_from_terms(problem, e, s)
 
 
 def solve_cond1(problem: Cond1Problem, start: PointSet,
@@ -369,8 +392,9 @@ def solve_cond1(problem: Cond1Problem, start: PointSet,
         return Cond1Result(points=start, residual=res, infeasible=True)
 
     def fun(flat: np.ndarray):
-        y = flat.reshape(n, problem.dim)
-        return cond1_functional(problem, y), cond1_gradient(problem, y).ravel()
+        # value and gradient from one set of exponentials
+        e, s = _cond1_terms(problem, flat.reshape(n, problem.dim))
+        return float(np.sum(np.abs(s) ** 2)), _cond1_grad_from_terms(problem, e, s).ravel()
 
     out = _sciopt.minimize(
         fun, start.coords.ravel(), jac=True, method="L-BFGS-B",

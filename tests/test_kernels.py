@@ -271,9 +271,36 @@ def test_factor_blocks_match_closed_forms(fam):
         t = y[rows, d, None] - y[None, cols, d]
         assert np.allclose(k.factor_block(setup, d, rows, cols), k.factor(t),
                            rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+@pytest.mark.parametrize("dim", [1, 3])
+def test_factor_logderiv_block_matches_closed_forms(fam, dim):
+    # rows and cols overlap, so the block holds coincident coordinates
+    # (t = 0), where the log-derivative is the symmetric subgradient 0
+    k = PeriodicKernel(fam, dim)
+    y = np.random.default_rng(9).random((40, dim))
+    setup = k.gram_setup(y)
+    rows, cols = slice(0, 40), slice(10, 33)
+    for d in range(dim):
+        t = y[rows, d, None] - y[None, cols, d]
+        chi, ratio = k.factor_logderiv_block(setup, d, rows, cols)
+        assert np.array_equal(chi, k.factor_block(setup, d, rows, cols))
+        apart = t != 0.0
         # the truncated derivative jumps at its kinks; none are hit here
-        assert np.allclose(k.factor_prime_block(setup, d, rows, cols), k.factor_prime(t),
+        assert np.allclose(ratio[apart], (k.factor_prime(t) / k.factor(t))[apart],
                            rtol=1e-12, atol=1e-12)
+        assert np.all(ratio[~apart] == 0.0)
+
+
+def test_trunc_logderiv_block_at_vanishing_factor():
+    # the D = 1 truncated factor is 0 at |t| = 1/2, where chi' = 0 too
+    k = PeriodicKernel("trunc", 1)
+    setup = k.gram_setup(np.array([[0.25], [0.75]]))
+    with np.errstate(all="raise"):
+        chi, ratio = k.factor_logderiv_block(setup, 0, slice(None), slice(None))
+    assert np.array_equal(chi, [[2.0, 0.0], [0.0, 2.0]])
+    assert np.array_equal(ratio, np.zeros((2, 2)))
 
 
 def test_fourier_coefficient_op():

@@ -7,9 +7,10 @@ from kerndisc.discrepancy import MonteCarlo, periodic_error, physical_error
 from kerndisc.kernels import (FAMILIES, PeriodicKernel, SplineKernel, TransportedKernel,
                               kernel_from_id)
 from kerndisc.lattice import enumerate_decreasing, tail_mass
-from kerndisc.optimize import (Cond1Problem, OptimizerConfig, box_targets, build_objective,
-                               canonical_grid, cond1_functional, cond1_gradient,
-                               descend_physical, midpoint_1d, optimize_points, solve_cond1)
+from kerndisc.optimize import (_LOGDERIV_DOUBLES, Cond1Problem, OptimizerConfig, box_targets,
+                               build_objective, canonical_grid, cond1_functional,
+                               cond1_gradient, descend_physical, midpoint_1d, optimize_points,
+                               solve_cond1)
 from kerndisc.rkhs import PointSet
 from kerndisc.sampling import uniform_points
 
@@ -24,7 +25,7 @@ def central_difference(fun, y, i, d, h=1e-6):
 
 @pytest.mark.parametrize("fam", FAMILIES)
 def test_periodic_gradient_matches_fd(fam):
-    for dim in (1, 2):
+    for dim in (1, 2, 8):
         obj = build_objective(PeriodicKernel(fam, dim), 10)
         rng = np.random.default_rng(fam.__hash__() % 100 + dim)
         y = 0.05 + 0.9 * rng.random((10, dim))
@@ -33,6 +34,58 @@ def test_periodic_gradient_matches_fd(fam):
             i, d = rng.integers(10), rng.integers(dim)
             fd = central_difference(obj.fun, y, i, d)
             assert g[i, d] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+
+
+def dense_periodic_gradient(kernel, y):
+    """2/N^2 sum_j chi'(y_id - y_jd) prod_{e != d} chi(y_ie - y_je), j != i,
+    from the scalar closed forms on the full (D, N, N) difference stack."""
+    n, dim = y.shape
+    diff = np.moveaxis(y[:, None, :] - y[None, :, :], -1, 0)
+    factors = kernel.factor(diff)
+    # products over e < d and over e > d
+    before = np.cumprod(np.concatenate([np.ones((1, n, n)), factors[:-1]]), axis=0)
+    after = np.cumprod(np.concatenate([np.ones((1, n, n)), factors[:0:-1]]), axis=0)[::-1]
+    terms = kernel.factor_prime(diff) * before * after
+    terms[:, np.arange(n), np.arange(n)] = 0.0
+    return 2.0 / (n * n) * terms.sum(axis=2).T
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+@pytest.mark.parametrize("dim", [1, 2, 8, 128])
+@pytest.mark.parametrize("side", [0, 1])
+def test_periodic_gradient_matches_dense_reference(fam, dim, side):
+    # N = edge is the largest N whose gradient pass is one column block
+    n = math.isqrt(_LOGDERIV_DOUBLES // dim) + side
+    k = PeriodicKernel(fam, dim)
+    y = np.random.default_rng(31 * dim + side).random((n, dim))
+    widths = []
+    block_fn = k.factor_logderiv_block
+
+    def recorded(setup, d, rows, cols):
+        widths.append(cols.stop - cols.start)
+        return block_fn(setup, d, rows, cols)
+
+    k.factor_logderiv_block = recorded
+    value, g = build_objective(k, n).grad(y)
+    # the D log-derivative blocks of a column block hold <= 2^22 doubles
+    assert dim * n * max(widths) <= _LOGDERIV_DOUBLES
+    assert (len(widths) > dim) == bool(side)
+    ref = dense_periodic_gradient(k, y)
+    assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert value == pytest.approx(k.pair_mean(y) - 1.0, rel=1e-12, abs=1e-15)
+
+
+def test_trunc_gradient_finite_at_half_spacing():
+    # two points exactly 1/2 apart sit where the D = 1 truncated factor
+    # vanishes; the gradient there is the zero subgradient
+    k = PeriodicKernel("trunc", 1)
+    start = PointSet(np.array([[0.25], [0.75]]))
+    with np.errstate(all="raise"):
+        value, g = build_objective(k, 2).grad(start.coords)
+    assert value == pytest.approx(0.0, abs=1e-15)
+    assert np.array_equal(g, np.zeros((2, 1)))
+    _, rep, _ = descend_physical(k, start)
+    assert rep.value == pytest.approx(0.0, abs=1e-7)
 
 
 def test_spline_gradient_matches_fd():
