@@ -8,11 +8,9 @@ regenerates the reference error tables.
 
 from .discrepancy import (DiscrepancyReport, MonteCarlo, asymptotic_error, periodic_error,
                           periodic_error_sp, physical_error, spectral_error)
-from .kernels import (FAMILIES, Kernel, NormalizedKernel, PeriodicKernel, ProductKernel,
-                      SeedKernel, SplineKernel, SumKernel, TensorKernel, TransportedKernel,
-                      TransportMap, coefficient_profile, erfinv, fourier_coefficient,
-                      kernel_from_id, normalize, product, pseudo_distance, tensor_product,
-                      theta3, weighted_sum)
+from .kernels import (FAMILIES, Kernel, PeriodicKernel, SeedKernel, SplineKernel,
+                      TransportedKernel, TransportMap, coefficient_profile, erfinv,
+                      fourier_coefficient, kernel_from_id, pseudo_distance, theta3)
 from .lattice import (CoefficientProfile, LatticeIndex, LatticeTerm, asymptotic_discrepancy,
                       enumerate_decreasing, partial_sum, tail_mass)
 from .optimize import (Cond1Problem, Cond1Result, OptimizerConfig, box_targets, canonical_grid,
@@ -20,6 +18,6 @@ from .optimize import (Cond1Problem, Cond1Result, OptimizerConfig, box_targets, 
                        optimize_points, solve_cond1)
 from .rkhs import (GramMatrix, NormParams, PointSet, SingularGramError, SplineEigenBasis,
                    discrete_norm, gram, partition_of_unity, project, spline_eigen)
-from .sampling import MT19937, RngSpec, cell_seed, mc_integrate, uniform_points
+from .sampling import MT19937, cell_seed, uniform_points
 
 __version__ = "0.1.0"

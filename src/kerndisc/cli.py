@@ -287,7 +287,7 @@ def _check_lines() -> list[tuple[str, bool, str]]:
         kern = _k.TransportedKernel("gauss", dim)
         pts = uniform_points(7, 16, dim)
         rep = physical_error(kern, pts, MonteCarlo(2**14, 108))
-        tau2, beta = kern.tau**2, kern.beta
+        tau2, beta = kern.record.tau**2, kern.record.beta
         u = special.erfinv(2.0 * pts.coords - 1.0)
         sq = ((u[:, None, :] - u[None, :, :]) ** 2).sum(axis=2)
         single = np.prod((1.0 + tau2) ** -0.5 * np.exp(-tau2 * u * u / (1.0 + tau2)), axis=1)

@@ -130,17 +130,13 @@ class DiscrepancyReport:
         )
 
 
-def _gram_mean(kernel: Kernel, points: PointSet) -> float:
-    return kernel.pair_mean(points.coords)
-
-
 def periodic_error(kernel: Kernel, points: PointSet) -> DiscrepancyReport:
     """Closed form for periodic kernels: E^2 = mean of K(Y,Y) - 1."""
     if not isinstance(kernel, PeriodicKernel):
         raise UnsupportedMethodError("periodic_error requires a periodic kernel")
     if kernel.dim != points.dim:
         raise ValueError("kernel/point dimension mismatch")
-    squared = _gram_mean(kernel, points) - 1.0
+    squared = kernel.pair_mean(points.coords) - 1.0
     return DiscrepancyReport.from_squared(
         squared, "periodic-closed-form", kernel.kernel_id, points.n, points.dim)
 
@@ -149,11 +145,12 @@ def physical_error(kernel: Kernel, points: PointSet,
                    integrals: str | MonteCarlo = "exact") -> DiscrepancyReport:
     """E_K from the physical-variable expansion.
 
-    ``integrals="exact"`` needs closed-form kernel integrals (spline and
-    periodic kernels).  Pass a MonteCarlo spec for any other kernel on
-    the cube (the transported families): the double integral is averaged
-    over sample pairs and the single integrals share one frozen sample
-    set across all points, so repeated evaluations are smooth in Y.
+    ``integrals="exact"`` needs closed-form kernel integrals, which only
+    the spline kernel has; a periodic kernel's integrals are both 1, and
+    ``periodic_error`` evaluates it.  Pass a MonteCarlo spec for any other
+    kernel on the cube (the transported families): the double integral is
+    averaged over sample pairs and the single integrals share one frozen
+    sample set across all points, so repeated evaluations are smooth in Y.
     """
     if kernel.dim != points.dim:
         raise ValueError("kernel/point dimension mismatch")
@@ -161,18 +158,15 @@ def physical_error(kernel: Kernel, points: PointSet,
         return _physical_error_mc(kernel, points, integrals)
     if integrals != "exact":
         raise ValueError(f"unknown integral mode {integrals!r}")
-    if isinstance(kernel, PeriodicKernel):
-        squared = _gram_mean(kernel, points) - 1.0
-        return DiscrepancyReport.from_squared(
-            squared, "physical", kernel.kernel_id, points.n, points.dim)
     if isinstance(kernel, SplineKernel):
         singles = kernel.integral_single(points.coords)
-        squared = (kernel.integral_double() + _gram_mean(kernel, points)
+        squared = (kernel.integral_double() + kernel.pair_mean(points.coords)
                    - 2.0 * float(singles.mean()))
         return DiscrepancyReport.from_squared(
             squared, "physical", kernel.kernel_id, points.n, points.dim)
     raise UnsupportedMethodError(
-        f"no closed-form integrals for kernel {kernel.kernel_id!r}; use MonteCarlo")
+        f"no closed-form integrals for kernel {kernel.kernel_id!r}; use periodic_error "
+        "for a periodic kernel and MonteCarlo for the others")
 
 
 def _physical_error_mc(kernel: Kernel, points: PointSet, mc: MonteCarlo) -> DiscrepancyReport:
@@ -193,7 +187,7 @@ def _physical_error_mc(kernel: Kernel, points: PointSet, mc: MonteCarlo) -> Disc
         pair_vals = kernel.elementwise_mapped(ua, kernel.map_points(b[blk]))
         row_sums = kernel.kernel_mapped(ua, y).sum(axis=1)
         stat[blk] = pair_vals - (2.0 / n) * row_sums
-    gram_mean = _gram_mean(kernel, points)
+    gram_mean = kernel.pair_mean(points.coords)
     squared = float(stat.mean()) + gram_mean
     se_sq = float(stat.std(ddof=1) / math.sqrt(m))
     value = math.sqrt(max(squared, 0.0))
@@ -229,7 +223,8 @@ def periodic_error_sp(kernel: PeriodicKernel, points: PointSet, params: NormPara
     Sums rho(alpha)^s |(1/N) sum_n exp(2 i pi <y^n, alpha>)|^p over the
     largest-coefficient nonzero indices (default: first 10 N enumerated
     terms); for s >= 1 the analytic bound on the omitted tail, including
-    the rounding error of the tail mass, is reported as metadata.
+    the rounding error of the tail mass, is reported as metadata.  Phase
+    arrays above MAX_ARRAY_BYTES are refused before the enumeration.
 
     The exponent is ``params.p`` itself, while ``spectral_error`` uses
     the conjugate p' = p/(p-1); the two conventions agree only at p = 2.
@@ -239,6 +234,9 @@ def periodic_error_sp(kernel: PeriodicKernel, points: PointSet, params: NormPara
     if kernel.dim != points.dim:
         raise ValueError("kernel/point dimension mismatch")
     count = n_terms if n_terms is not None else 10 * points.n
+    if count < 1:
+        raise ValueError("n_terms must be >= 1")
+    check_array_bytes(points.n * count, 16, f"the phases of {count} terms at N={points.n}")
     terms = lattice.enumerate_decreasing(kernel.profile, count + 1)
     alphas = np.array([t.index.dense() for t in terms[1:]], dtype=float)
     rho = np.array([t.coefficient for t in terms[1:]])

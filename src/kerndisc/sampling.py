@@ -1,4 +1,4 @@
-"""Reproducible random sampling and Monte-Carlo integration.
+"""Reproducible random sampling.
 
 All randomness in the package flows through one MT19937 stream (32-bit
 Mersenne Twister, standard parameterization, ``init_genrand`` seeding),
@@ -10,23 +10,7 @@ Doubles use the canonical 53-bit recipe ``((a >> 5) * 2^26 + (b >> 6))
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class RngSpec:
-    """A fully determined random stream: algorithm is pinned to MT19937."""
-
-    seed: int
-    algorithm: str = "mt19937"
-
-    def __post_init__(self):
-        if self.algorithm != "mt19937":
-            raise ValueError(f"unsupported rng algorithm: {self.algorithm!r}")
-        if not 0 <= int(self.seed) < 2**32:
-            raise ValueError("seed must be a 32-bit unsigned integer")
 
 
 class MT19937:
@@ -51,7 +35,7 @@ class MT19937:
         return self._state.random_sample(n)
 
 
-def uniform_points(rng: RngSpec | int, n_points: int, dim: int):
+def uniform_points(seed: int, n_points: int, dim: int):
     """Draw an ``n_points`` x ``dim`` uniform point set on [0,1)^dim.
 
     Variates are consumed in row-major order: point index outer,
@@ -61,30 +45,9 @@ def uniform_points(rng: RngSpec | int, n_points: int, dim: int):
 
     if n_points < 1 or dim < 1:
         raise ValueError("n_points and dim must be >= 1")
-    seed = rng.seed if isinstance(rng, RngSpec) else rng
     gen = MT19937(seed)
     coords = gen.random(n_points * dim).reshape(n_points, dim)
     return PointSet(coords)
-
-
-def mc_integrate(f, dim: int, samples: int, rng: RngSpec | int):
-    """Monte-Carlo mean of ``f`` over the unit cube.
-
-    ``f`` maps an (m, dim) array of points to m values.  Returns
-    ``(estimate, standard_error)`` with the usual stddev/sqrt(m) error.
-    """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    pts = uniform_points(rng, samples, dim)
-    vals = np.asarray(f(pts.coords), dtype=float)
-    if vals.shape != (samples,):
-        raise ValueError(f"integrand returned shape {vals.shape}, expected ({samples},)")
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        raise ValueError(f"integrand returned a non-finite value at sample index {bad[0]}")
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(samples))
-    return est, se
 
 
 def cell_seed(base_seed: int, n_points: int, dim: int) -> int:

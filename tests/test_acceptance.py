@@ -209,7 +209,7 @@ def _series_vs_closed_form(fam: str, dim: int, tol_target: float) -> float:
     while prof.per_dim_total - partial > tol_target / 2.0:
         ks = np.arange(k0, k0 + chunk, dtype=float)
         if fam == "exp":
-            r = 1.0 / (1.0 + (4.0 * math.pi**2 / kernel.tau**2) * ks * ks)
+            r = 1.0 / (1.0 + (4.0 * math.pi**2 / kernel.record.tau**2) * ks * ks)
         else:
             raise NotImplementedError
         partial += 2.0 * float(r.sum())
@@ -252,7 +252,7 @@ def test_criterion_6_formulation_equivalence():
     worst_trunc = 0.0
     for d in (1, 2):
         kernel = PeriodicKernel("trunc", d)
-        tau = kernel.tau
+        tau = kernel.record.tau
         ts = np.linspace(0.0, 1.0, 33)
         direct = tau * sum(np.maximum(1 - tau * np.abs(ts + a), 0.0) for a in (-1, 0, 1))
         worst_trunc = max(worst_trunc, float(np.max(np.abs(kernel.factor(ts) - direct))))

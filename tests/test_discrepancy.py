@@ -93,14 +93,10 @@ def test_formulation_equivalence_physical_fourier(fam):
         assert abs(rep.squared_value - series) <= tail * 1.001 + 1e-8
 
 
-@pytest.mark.parametrize("fam", FAMILIES)
-def test_physical_equals_periodic_closed_form(fam):
-    for dim in (1, 2, 4):
-        k = PeriodicKernel(fam, dim)
-        pts = uniform_points(100 + dim, 20, dim)
-        a = physical_error(k, pts, "exact")
-        b = periodic_error(k, pts)
-        assert abs(a.squared_value - b.squared_value) < 1e-12
+def test_physical_exact_rejects_periodic():
+    # a periodic kernel's integrals are both 1; periodic_error evaluates it
+    with pytest.raises(UnsupportedMethodError, match="periodic_error"):
+        physical_error(PeriodicKernel("mq", 2), uniform_points(0, 8, 2), "exact")
 
 
 def test_physical_exact_rejects_transported():
@@ -216,13 +212,13 @@ def test_monte_carlo_transported_runs():
 def _replay_seed_formula(k, u, v):
     diff = u - v
     if k.family == "exp":
-        return np.exp(-k.tau * np.abs(diff).sum(axis=-1)) / k.beta
+        return np.exp(-k.record.tau * np.abs(diff).sum(axis=-1)) / k.record.beta
     sq = (diff * diff).sum(axis=-1)
     if k.family == "mq":
-        return k.beta * (1 + k.tau**2 * sq) ** (-(k.dim + 1) / 2.0)
+        return k.record.beta * (1 + k.record.tau**2 * sq) ** (-(k.dim + 1) / 2.0)
     if k.family == "gauss":
-        return k.beta * np.exp(-k.tau**2 * sq)
-    return (1 + k.tau * sq) ** (-float(k.dim))
+        return k.record.beta * np.exp(-k.record.tau**2 * sq)
+    return (1 + k.record.tau * sq) ** (-float(k.dim))
 
 
 @pytest.mark.parametrize("fam", FAMILIES)
@@ -255,6 +251,18 @@ def test_monte_carlo_refuses_oversized_samples():
     k = TransportedKernel("gauss", 16)
     with pytest.raises(ValueError, match="GiB"):
         physical_error(k, uniform_points(0, 4, 16), MonteCarlo(2**24, 0))
+
+
+def test_periodic_error_sp_refuses_oversized_phases(monkeypatch):
+    # N = 4096 takes 10 N terms, so the (N, 10 N) complex phases would be
+    # 2.5 GiB; refused before the enumeration runs
+    monkeypatch.setattr("kerndisc.lattice.enumerate_decreasing",
+                        lambda *args: pytest.fail("enumerated before the size check"))
+    k = PeriodicKernel("exp", 1)
+    with pytest.raises(ValueError, match="GiB"):
+        periodic_error_sp(k, uniform_points(0, 4096, 1), NormParams(1, 2))
+    with pytest.raises(ValueError, match="n_terms"):
+        periodic_error_sp(k, uniform_points(0, 8, 1), NormParams(1, 2), n_terms=0)
 
 
 def test_periodic_error_sp_reduces_to_squared_error():

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from kerndisc.kernels import (FAMILIES, PeriodicKernel, SeedKernel, SplineKernel,
-                              TensorKernel, TransportedKernel, TransportMap,
-                              coefficient_profile, erfinv, fourier_coefficient,
-                              kernel_from_id, normalize, product, pseudo_distance,
-                              tensor_product, theta3, weighted_sum)
+                              TransportedKernel, TransportMap, coefficient_profile, erfinv,
+                              fourier_coefficient, kernel_from_id, pseudo_distance, theta3)
 from kerndisc.lattice import LatticeIndex
 
 ALL_IDS = [f"{loc}-{fam}" for loc in ("seed", "per", "tra") for fam in FAMILIES]
@@ -149,6 +147,10 @@ def test_periodic_diagonal_values():
     tau = math.sqrt(12.0)
     assert k([0.3], [0.3]) == pytest.approx((tau / 2) / math.tanh(tau / 2), rel=1e-14)
     for dim in (1, 2, 5, 40):
+        # the profile's closed-form total against the factor formula at 0
+        for fam in FAMILIES:
+            k = PeriodicKernel(fam, dim)
+            assert k.factor(0.0) == pytest.approx(k.profile.per_dim_total, rel=1e-14)
         assert PeriodicKernel("trunc", dim).factor(0.0) == pytest.approx(1 + 1 / dim)
         diag = PeriodicKernel("trunc", dim).diagonal()
         assert diag == pytest.approx((1 + 1 / dim) ** dim, rel=1e-12)
@@ -330,13 +332,13 @@ def _seed_formula(k, u, v):
     # the seed formula on transported coordinates, pair by pair
     diff = u - v
     if k.family == "exp":
-        return np.exp(-k.tau * np.abs(diff).sum(axis=-1)) / k.beta
+        return np.exp(-k.record.tau * np.abs(diff).sum(axis=-1)) / k.record.beta
     sq = (diff * diff).sum(axis=-1)
     if k.family == "mq":
-        return k.beta * (1 + k.tau**2 * sq) ** (-(k.dim + 1) / 2.0)
+        return k.record.beta * (1 + k.record.tau**2 * sq) ** (-(k.dim + 1) / 2.0)
     if k.family == "gauss":
-        return k.beta * np.exp(-k.tau**2 * sq)
-    return (1 + k.tau * sq) ** (-float(k.dim))
+        return k.record.beta * np.exp(-k.record.tau**2 * sq)
+    return (1 + k.record.tau * sq) ** (-float(k.dim))
 
 
 def test_transported_matches_mapped_formula():
@@ -400,7 +402,7 @@ def test_spline_integrals_by_quadrature():
     assert k.integral_double() == pytest.approx(1.0 / 12.0)
 
 
-# --- pseudo-distance and combinators ----------------------------------------
+# --- pseudo-distance and kernel ids ---------------------------------------
 
 @pytest.mark.parametrize("kid", ALL_IDS + ["spline"])
 def test_pseudo_distance_properties(kid):
@@ -412,38 +414,6 @@ def test_pseudo_distance_properties(kid):
         d = pseudo_distance(k, x, y)
         assert d >= 0.0
         assert d == pytest.approx(pseudo_distance(k, y, x), rel=1e-12, abs=1e-15)
-
-
-def test_normalize_unit_diagonal():
-    k = normalize(SeedKernel("gauss", 2))
-    rng = np.random.default_rng(1)
-    for _ in range(4):
-        x = rng.random(2) * 3
-        assert k(x, x) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_tensor_of_spline_factors_matches_spline():
-    k_tensor = tensor_product([SplineKernel(1) for _ in range(3)])
-    k_direct = SplineKernel(3)
-    rng = np.random.default_rng(8)
-    x = rng.random((7, 3))
-    y = rng.random((7, 3))
-    assert np.max(np.abs(k_tensor.pairwise(x, y) - k_direct.pairwise(x, y))) < 1e-14
-
-
-def test_weighted_sum_diagonal():
-    k = weighted_sum(1.0, SeedKernel("gauss", 1), 1.0, SeedKernel("mq", 1))
-    assert k([0.4], [0.4]) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        weighted_sum(-1.0, SeedKernel("gauss", 1), 1.0, SeedKernel("mq", 1))
-    with pytest.raises(ValueError):
-        weighted_sum(1.0, SeedKernel("gauss", 1), 1.0, SeedKernel("mq", 2))
-
-
-def test_product_kernel():
-    k = product(SeedKernel("gauss", 1), SeedKernel("exp", 1))
-    x, y = np.array([0.1]), np.array([0.9])
-    assert k(x, y) == pytest.approx(SeedKernel("gauss", 1)(x, y) * SeedKernel("exp", 1)(x, y))
 
 
 def test_kernel_from_id_grammar():
@@ -477,10 +447,3 @@ def test_property_symmetry_on_cube(kid, x0, x1, y0, y1):
 def test_property_periodicity(fam, t, shift):
     k = PeriodicKernel(fam, 1)
     assert k.factor(t + shift) == pytest.approx(float(k.factor(t)), rel=1e-12, abs=1e-12)
-
-
-def test_tensor_requires_one_dimensional_factors():
-    with pytest.raises(ValueError, match="one-dimensional"):
-        tensor_product([SplineKernel(2)])
-    with pytest.raises(ValueError, match="at least one"):
-        tensor_product([])

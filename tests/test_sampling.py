@@ -1,9 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from kerndisc.sampling import MT19937, RngSpec, cell_seed, mc_integrate, uniform_points
+from kerndisc.sampling import MT19937, cell_seed, uniform_points
 
 
 class ScalarMT:
@@ -64,7 +62,7 @@ def test_res53_doubles_match_oracle():
 
 def test_uniform_points_row_major_order():
     flat = MT19937(42).random(6)
-    pts = uniform_points(RngSpec(42), 2, 3)
+    pts = uniform_points(42, 2, 3)
     assert np.array_equal(pts.coords, flat.reshape(2, 3))
 
 
@@ -80,49 +78,12 @@ def test_first_double_seed_5489_via_points():
 
 
 def test_rngspec_validation():
-    with pytest.raises(ValueError):
-        RngSpec(-1)
-    with pytest.raises(ValueError):
-        RngSpec(2**32)
-    with pytest.raises(ValueError):
-        RngSpec(0, algorithm="pcg64")
-
-
-def test_mc_integrate_constant():
-    est, se = mc_integrate(lambda x: np.ones(len(x)), 2, 256, RngSpec(0))
-    assert est == 1.0
-    assert se == 0.0
-
-
-def test_mc_integrate_mean_coordinate():
-    est, se = mc_integrate(lambda x: x[:, 0], 1, 2**16, RngSpec(3))
-    assert abs(est - 0.5) < 3 * se
-    assert se == pytest.approx(math.sqrt(1.0 / 12.0 / 2**16), rel=0.05)
-
-
-def test_mc_integrate_spline_double_integral():
-    # iint min(x,y) - xy over the square is 1/12
-    def f(pts):
-        x, y = pts[:, 0], pts[:, 1]
-        return np.minimum(x, y) - x * y
-
-    est, se = mc_integrate(f, 2, 2**16, RngSpec(11))
-    assert abs(est - 1.0 / 12.0) < 3 * se
-
-
-def test_mc_integrate_rejects_nonfinite():
-    def f(pts):
-        out = np.ones(len(pts))
-        out[5] = np.nan
-        return out
-
-    with pytest.raises(ValueError, match="index 5"):
-        mc_integrate(f, 1, 16, RngSpec(0))
-
-
-def test_mc_integrate_needs_two_samples():
-    with pytest.raises(ValueError):
-        mc_integrate(lambda x: np.ones(len(x)), 1, 1, RngSpec(0))
+    # seeds are 32-bit unsigned, checked by the stream and so by point sets
+    for bad in (-1, 2**32):
+        with pytest.raises(ValueError, match="32-bit"):
+            MT19937(bad)
+        with pytest.raises(ValueError, match="32-bit"):
+            uniform_points(bad, 2, 3)
 
 
 def test_cell_seed_distinct_streams():
@@ -132,13 +93,3 @@ def test_cell_seed_distinct_streams():
     firsts = {MT19937(cell_seed(0, n, d)).random(1)[0] for n, d in cells}
     assert len(firsts) == len(cells)
 
-
-def test_se_calibration_coverage():
-    # empirical coverage of +-2 SE around the true mean of x^2 (1/3)
-    hits = 0
-    reps = 200
-    for rep in range(reps):
-        est, se = mc_integrate(lambda x: x[:, 0] ** 2, 1, 512, RngSpec(10_000 + rep))
-        if abs(est - 1.0 / 3.0) <= 2 * se:
-            hits += 1
-    assert 0.90 <= hits / reps <= 0.99
