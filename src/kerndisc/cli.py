@@ -26,6 +26,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 
 import numpy as np
 
@@ -322,7 +323,12 @@ def _emit(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each
+    ``add_argument`` queries the terminal size, so a fresh parser per
+    ``main`` call costs more than a small table cell.  Parsing leaves the
+    parser unchanged, so every call shares it."""
     parser = argparse.ArgumentParser(
         prog="kerndisc",
         description="Kernel quadrature discrepancy tables, point sets, and checks.")

@@ -41,6 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import special
+from scipy.linalg import blas
 
 from .lattice import CoefficientProfile, LatticeIndex
 
@@ -63,8 +64,17 @@ __all__ = [
 FAMILIES = ("exp", "mq", "gauss", "trunc")
 
 # edge of the square Gram tiles in Kernel.pair_mean; 128 x 128 doubles
-# keep a tile's temporaries in cache
+# keep a tile's temporaries in cache.  The log-series route sums bands of
+# this many rows.
 _GRAM_TILE = 128
+
+# a log-series is cut where dim times the sum of the dropped |a_k| falls
+# below this
+_LOG_SERIES_TAIL = 1e-17
+
+# the log-series features of one chunk of dimensions hold at most this
+# many doubles
+_FEATURE_DOUBLES = 2**16
 
 
 def erfinv(u):
@@ -145,14 +155,56 @@ def _lookup(table: dict, family: str, dim: int):
 
 # periodic records -----------------------------------------------------------
 
+def _cos_sin_multiples(cos: np.ndarray, sin: np.ndarray, n_k: int) -> np.ndarray:
+    """(cos k theta, sin k theta) for k = 1 .. n_k, shape (n_k, 2) +
+    cos.shape, from cos theta and sin theta by the Chebyshev recurrence
+    X_{k+1} = 2 cos(theta) X_k - X_{k-1}, X_0 = (1, 0)."""
+    out = np.empty((n_k, 2) + cos.shape)
+    out[0, 0] = cos
+    out[0, 1] = sin
+    two_c = 2.0 * cos
+    if n_k > 1:
+        np.multiply(out[0], two_c, out=out[1])
+        out[1, 0] -= 1.0
+    for k in range(2, n_k):
+        np.multiply(out[k - 1], two_c, out=out[k])
+        out[k] -= out[k - 2]
+    return out
+
+
+def _log_series(a0: float, term, dim: int) -> tuple[float, np.ndarray]:
+    """(a_0, [a_1, ..., a_K]) with log chi(t) = a_0 + sum_k a_k cos 2 pi k t.
+
+    ``term(k)`` gives a_k, whose magnitude decays geometrically; the
+    series is cut at the first K with dim * sum_{k > K} |a_k| below
+    1e-17, so the D-dimensional log-kernel loses less than that.
+    """
+    coef = [term(1)]
+    while dim * abs(coef[-1]) >= 1e-3 * _LOG_SERIES_TAIL:
+        coef.append(term(len(coef) + 1))
+    # tails[K] = sum_{k > K} |a_k|
+    tails = np.cumsum(np.abs(coef)[::-1])[::-1]
+    n_kept = int(np.argmax(dim * tails < _LOG_SERIES_TAIL))
+    return a0, np.array(coef[:n_kept])
+
+
 class _PeriodicFamily:
     """One periodic family at one dimension: the scale (tau or q), the
     profile r(k) with its total (and an envelope where r is not
     monotone), the scalar ``factor``/``factor_prime`` of f = t mod 1, and
     the block formulas of the argument that the set-up kind ``angle``
-    picks (``PeriodicKernel._block_args``)."""
+    picks (``PeriodicKernel._block_args``).
+
+    The Gram sum takes one of two routes (``PeriodicKernel._gram_sum``):
+    a family whose log-factor is analytic carries its truncated cosine
+    series ``log_series`` (mq and gauss), and the others a ``block``
+    formula for tiles of factor products (exp and trunc, whose
+    log-factors have a kink at t = 0, so their coefficients decay like
+    1/k^2 and admit no short cut).
+    """
 
     envelope = None
+    log_series = None
 
 
 class _PerExp(_PeriodicFamily):
@@ -200,6 +252,8 @@ class _PerMq(_PeriodicFamily):
     def __init__(self, dim: int):
         self.q = q = 1.0 / (2.0 * dim + 1.0)
         self.total = (1.0 + q) / (1.0 - q)
+        # -log(1 - 2q cos 2 pi t + q^2) = 2 sum_k q^k cos(2 pi k t) / k
+        self.log_series = _log_series(math.log1p(-q * q), lambda k: 2.0 * q**k / k, dim)
 
     def r(self, k: int) -> float:
         return self.q ** abs(k)
@@ -213,18 +267,12 @@ class _PerMq(_PeriodicFamily):
         denom = 1.0 - 2.0 * q * np.cos(2.0 * math.pi * f) + q * q
         return -(1.0 - q * q) * 4.0 * math.pi * q * np.sin(2.0 * math.pi * f) / (denom * denom)
 
-    def _den(self, c):
-        # 1 + q^2 - 2 q c, in place
-        c *= -2.0 * self.q
-        c += 1.0 + self.q * self.q
-        return c
-
-    def block(self, c):
-        return np.divide(1.0 - self.q * self.q, self._den(c), out=c)
-
     def logderiv_block(self, c, s):
-        # chi'/chi = -4 pi q sin(2 pi t) / (1 + q^2 - 2 q cos(2 pi t))
-        den = self._den(c)
+        # chi = (1 - q^2) / den and chi'/chi = -4 pi q sin(2 pi t) / den,
+        # den = 1 + q^2 - 2 q cos(2 pi t), built in place of c
+        den = c
+        den *= -2.0 * self.q
+        den += 1.0 + self.q * self.q
         s *= -4.0 * math.pi * self.q
         return np.divide(1.0 - self.q * self.q, den), np.divide(s, den, out=s)
 
@@ -233,9 +281,20 @@ class _PerGauss(_PeriodicFamily):
     angle = True
 
     def __init__(self, dim: int):
-        self.q = 1.0 / (2.0 * dim)
-        self.total = float(theta3(0.0, self.q))
-        self._weights = _theta3_terms(self.q)
+        self.q = q = 1.0 / (2.0 * dim)
+        self.total = float(theta3(0.0, q))
+        self._weights = _theta3_terms(q)
+        # Jacobi triple product: theta_3(z) = prod_m (1 - q^{2m})
+        # (1 + 2 q^{2m-1} cos 2z + q^{4m-2}), so log theta_3(pi t) =
+        # sum_m log(1 - q^{2m}) + sum_k 2 (-1)^{k+1} q^k cos(2 pi k t)
+        # / (k (1 - q^{2k}))
+        a0, m = [], 1
+        while q ** (2 * m) >= 1e-3 * _LOG_SERIES_TAIL:
+            a0.append(math.log1p(-q ** (2 * m)))
+            m += 1
+        self.log_series = _log_series(
+            math.fsum(a0), lambda k: 2.0 * (-1.0) ** (k + 1) * q**k / (k * (1.0 - q ** (2 * k))),
+            dim)
 
     def r(self, k: int) -> float:
         return self.q ** (k * k)
@@ -251,23 +310,10 @@ class _PerGauss(_PeriodicFamily):
             out = out - 4.0 * k * w * np.sin(2.0 * k * z)
         return math.pi * out
 
-    def block(self, c):
-        # theta_3 = 1 + 2 sum q^{k^2} T_k(c), T_{k+1} = 2c T_k - T_{k-1},
-        # with the cut-off of theta3
-        weights = self._weights
-        out = 2.0 * weights[0] * c
-        out += 1.0
-        if len(weights) > 1:
-            two_c = 2.0 * c
-            t_prev, t_k = np.ones_like(c), c
-            for w in weights[1:]:
-                t_prev, t_k = t_k, two_c * t_k - t_prev
-                out += (2.0 * w) * t_k
-        return out
-
     def logderiv_block(self, c, s):
-        # theta_3 as in block, and pi theta_3'(pi t) = -4 pi s sum k w_k
-        # U_{k-1}(c), with T and U on the same recurrence 2c X_k - X_{k-1}
+        # theta_3 = 1 + 2 sum q^{k^2} T_k(c) with the cut-off of theta3,
+        # and pi theta_3'(pi t) = -4 pi s sum k w_k U_{k-1}(c), with T and
+        # U on the same recurrence 2c X_k - X_{k-1}
         weights = self._weights
         chi = 2.0 * weights[0] * c
         chi += 1.0
@@ -468,7 +514,14 @@ class Kernel:
         return self.elementwise(u, v)
 
     def pair_mean(self, coords: np.ndarray) -> float:
-        """Mean of the full kernel matrix on one point set.
+        """Mean of the full kernel matrix on one point set: ``_gram_sum``
+        over N^2."""
+        coords = np.asarray(coords, dtype=float)
+        n = coords.shape[0]
+        return self._gram_sum(coords) / (n * n)
+
+    def _gram_sum(self, coords: np.ndarray) -> float:
+        """Sum of the full kernel matrix.
 
         The kernel is symmetric, so only the square tiles on or above the
         diagonal are evaluated and each off-diagonal tile counts twice.
@@ -477,7 +530,6 @@ class Kernel:
         and with it every digit of the result, depends on N alone.
         Temporaries stay O(tile^2 + N D).
         """
-        coords = np.asarray(coords, dtype=float)
         n = coords.shape[0]
         setup = self.gram_setup(coords)
         tiles = [slice(lo, min(lo + _GRAM_TILE, n)) for lo in range(0, n, _GRAM_TILE)]
@@ -486,7 +538,7 @@ class Kernel:
             total += float(self.gram_block(setup, rows, rows).sum())
             for cols in tiles[i + 1:]:
                 total += 2.0 * float(self.gram_block(setup, rows, cols).sum())
-        return total / (n * n)
+        return total
 
     def gram_setup(self, coords: np.ndarray):
         """Per-point data that every Gram tile of one point set reads."""
@@ -567,12 +619,14 @@ class PeriodicKernel(Kernel):
     # factor blocks ---------------------------------------------------------
 
     def gram_setup(self, coords: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Per-point data of ``factor_block``, as (D, N) arrays.
+        """Per-point data of the factor blocks, as (D, N) arrays.
 
         mq and gauss: (cos 2 pi y, sin 2 pi y); their factors are
         functions of c = cos 2 pi (x - y), which angle addition builds
-        from these.  exp and trunc: (y mod 1,); their factors are even
-        about f = 1/2, so functions of |x - y| on reduced coordinates.
+        from these, and their log-series features are the multiples
+        cos/sin 2 pi k y of these.  exp and trunc: (y mod 1,); their
+        factors are even about f = 1/2, so functions of |x - y| on
+        reduced coordinates.
         """
         t = np.mod(np.asarray(coords, dtype=float).T, 1.0)
         if self.record.angle:
@@ -600,15 +654,17 @@ class PeriodicKernel(Kernel):
         return (h, sign) if aux else (h,)
 
     def factor_block(self, setup, d: int, rows: slice, cols: slice) -> np.ndarray:
-        """chi(x_d - y_d) for x in ``rows`` and y in ``cols`` of a set-up point set."""
+        """chi(x_d - y_d) for x in ``rows`` and y in ``cols`` of a set-up
+        point set, for the records with a ``block`` formula (exp, trunc)."""
         return self.record.block(*self._block_args(setup, d, rows, cols, False))
 
     def factor_logderiv_block(self, setup, d: int, rows: slice,
                               cols: slice) -> tuple[np.ndarray, np.ndarray]:
         """(chi, chi'/chi) at t = x_d - y_d, for the block of ``factor_block``.
 
-        chi is bit-identical to ``factor_block``; the log-derivative reuses
-        its intermediates.  Every factor is strictly positive except the
+        chi is the closed-form factor (bit-identical to ``factor_block``
+        where the record has one); the log-derivative reuses its
+        intermediates.  Every factor is strictly positive except the
         truncated one at D = 1, which vanishes at |t| = 1/2 exactly; there
         chi' = 0 (the symmetric subgradient) is returned in place of
         0/0.  At t = 0 the log-derivative is 0 for every family.
@@ -620,6 +676,50 @@ class PeriodicKernel(Kernel):
         for d in range(1, self.dim):
             out *= self.factor_block(setup, d, rows, cols)
         return out
+
+    def _gram_sum(self, coords: np.ndarray) -> float:
+        """The tile sum of ``Kernel._gram_sum``, or the log-series sum when
+        the record carries a ``log_series``."""
+        if self.record.log_series is None:
+            return super()._gram_sum(coords)
+        return self._log_series_sum(coords)
+
+    def _log_series_sum(self, coords: np.ndarray) -> float:
+        """Sum of K(x, y) = exp(c_0 + L(x) . R(y)) over the Gram matrix.
+
+        With log chi(t) = a_0 + sum_k a_k cos 2 pi k t and angle addition,
+        log K(x, y) = D a_0 + sum_{d,k} a_k [cos 2 pi k x_d cos 2 pi k y_d
+        + sin 2 pi k x_d sin 2 pi k y_d]: the features are cos/sin(2 pi k
+        y_d) sqrt|a_k|, with the sign of a_k on the left side.  Row bands
+        of ``_GRAM_TILE`` points against the columns on or after the
+        band's diagonal tile accumulate c_0 plus one ``dgemm`` (beta = 1)
+        per chunk of dimensions, whose features are rebuilt per band;
+        then one exp per pair.  Temporaries stay O(tile N) for the band,
+        and a chunk's features hold ``_FEATURE_DOUBLES`` doubles, or one
+        dimension's 2 K N when that is more.  Band and chunk edges depend
+        on N and D alone, so the digits do too.
+        """
+        a0, coef = self.record.log_series
+        n = coords.shape[0]
+        n_k = len(coef)
+        scale = np.sqrt(np.abs(coef))[:, None, None, None]
+        sign = np.sign(coef)[:, None, None, None]
+        cos, sin = self.gram_setup(coords)
+        chunk = max(1, min(self.dim, _FEATURE_DOUBLES // (2 * n_k * n)))
+        total = 0.0
+        for lo in range(0, n, _GRAM_TILE):
+            m = min(_GRAM_TILE, n - lo)
+            acc = np.full((m, n - lo), self.dim * a0, order="F")
+            for d in range(0, self.dim, chunk):
+                dims = slice(d, d + chunk)
+                feats = _cos_sin_multiples(cos[dims, lo:], sin[dims, lo:], n_k)
+                feats *= scale
+                left = (feats[..., :m] * sign).reshape(-1, m)
+                acc = blas.dgemm(1.0, left.T, feats.reshape(-1, n - lo).T, beta=1.0, c=acc,
+                                 trans_b=True, overwrite_c=True)
+            np.exp(acc, out=acc)
+            total += float(acc[:, :m].sum()) + 2.0 * float(acc[:, m:].sum())
+        return total
 
     def pairwise(self, x, y):
         return self.elementwise(np.asarray(x, dtype=float)[:, None, :],

@@ -116,10 +116,6 @@ class GramMatrix:
     def eigenvalues(self) -> np.ndarray:
         return self.eigendecomposition()[0]
 
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        return self.eigendecomposition()[1]
-
     def is_near_singular(self) -> bool:
         vals = self.eigenvalues
         return bool(vals[0] <= 0.0 or vals[-1] < _PINV_CUTOFF * vals[0])

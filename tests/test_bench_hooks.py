@@ -35,6 +35,9 @@ def test_tracer_hooks_run_and_uninstall(capsys):
         assert cli.periodic_error is not before[1]["periodic_error"]
         assert cli.main(["table", "--kernel", "per-mq", "--N", "16", "--D", "2",
                          "--threads", "1"]) == 0
+        # the per-mq Gram mean alone, through its log-series route, is seen
+        # as Kernel.pair_mean
+        assert tracer.metrics(rounds=1)["kernels.pair_mean.calls"]["value"] == 1
         assert cli.main(["table", "--kernel", "tra-gauss", "--N", "16", "--D", "2",
                          "--threads", "1", "--mc-samples", "1024"]) == 0
         assert cli.main(["points", "--kernel", "per-exp", "--mode", "optimized",

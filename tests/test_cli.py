@@ -71,6 +71,34 @@ def test_table_threads_do_not_change_output():
     _, seq = run_cli(*base, "--threads", "1")
     _, par = run_cli(*base, "--threads", "4")
     assert seq == par
+    # random per-mq and per-gauss cells sum their Gram means through BLAS
+    # products; worker threads must not change a digit
+    for kernel in ("per-mq", "per-gauss"):
+        base = ("table", "--kernel", kernel, "--mode", "random", "--N", "16,129,512",
+                "--D", "1,8,128", "--format", "csv", "--seed", "5")
+        code1, seq = run_cli(*base, "--threads", "1")
+        code2, par = run_cli(*base, "--threads", "2")
+        assert code1 == code2 == 0
+        assert seq == par
+
+
+def test_main_calls_share_one_parser_and_stay_independent():
+    from kerndisc.cli import build_parser
+
+    assert build_parser() is build_parser()
+    code, sliced = run_cli("slice", "--kernel", "per-mq", "--D", "2", "--resolution", "3")
+    assert code == 0 and sliced.splitlines()[0] == "t,value" and len(sliced.splitlines()) == 4
+    code, table = run_cli("table", "--kernel", "per-exp", "--mode", "asymptotic", "--N", "16",
+                          "--D", "1", "--format", "csv", "--threads", "1")
+    assert code == 0
+    assert table.splitlines()[:2] == ["# kernel=per-exp mode=asymptotic seed=0",
+                                      "N,D,value,value_full,flag"]
+    assert table.splitlines()[2].startswith("16,1,0.069,")
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--kernel", "per-exp", "--format", "json"])
+    assert exc.value.code == 2
+    # a refused command leaves the shared parser as it was
+    assert run_cli("slice", "--kernel", "per-mq", "--D", "2", "--resolution", "3") == (0, sliced)
 
 
 def test_table_rejects_bad_mode_combination():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from kerndisc import kernels
 from kerndisc.kernels import (FAMILIES, PeriodicKernel, SeedKernel, SplineKernel,
                               TransportedKernel, TransportMap, coefficient_profile, erfinv,
                               fourier_coefficient, kernel_from_id, pseudo_distance, theta3)
@@ -263,7 +264,92 @@ def test_pair_mean_half_sum_other_kernels(kid):
     assert k.pair_mean(y) == pytest.approx(k.pairwise(y, y).mean(), rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("fam", FAMILIES)
+def log_series_terms(fam: str, dim: int) -> np.ndarray:
+    """a_1 .. a_199 of log chi(t) = a_0 + sum a_k cos 2 pi k t, far past
+    any cut: mq from -log(1 - 2q cos + q^2) = 2 sum q^k cos / k, gauss
+    from the Jacobi triple product of theta_3."""
+    q = PeriodicKernel(fam, dim).record.q
+    k = np.arange(1, 200)
+    if fam == "mq":
+        return 2.0 * q**k / k
+    return 2.0 * (-1.0) ** (k + 1) * q**k / (k * (1.0 - q ** (2 * k)))
+
+
+@pytest.mark.parametrize("fam", ("mq", "gauss"))
+@pytest.mark.parametrize("dim", [1, 2, 8, 128])
+def test_log_series_matches_log_factor(fam, dim):
+    rec = PeriodicKernel(fam, dim).record
+    a0, coef = rec.log_series
+    t = np.linspace(0.0, 1.0, 513)
+    series = a0 + np.cos(2.0 * math.pi * np.outer(t, np.arange(1, len(coef) + 1))) @ coef
+    # relative above 1: the D = 1 gauss log-factor reaches -2.1, where
+    # np.log of the factor is itself 1.05e-15 off a 40-digit value
+    ref = np.log(rec.factor(t))
+    assert np.all(np.abs(series - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("fam", ("mq", "gauss"))
+@pytest.mark.parametrize("dim", [1, 2, 8, 128])
+def test_log_series_cut_where_dim_times_tail_drops_below_1e17(fam, dim):
+    _, coef = PeriodicKernel(fam, dim).record.log_series
+    ref = log_series_terms(fam, dim)
+    kept = len(coef)
+    assert np.allclose(coef, ref[:kept], rtol=1e-14, atol=0.0)
+    # the first cut that works: one term fewer would not
+    assert dim * np.abs(ref[kept:]).sum() < 1e-17 <= dim * np.abs(ref[kept - 1:]).sum()
+
+
+def feature_edge(fam: str, dim: int) -> int:
+    """The largest N whose log-series features of all dim dimensions fit
+    one chunk of ``_FEATURE_DOUBLES``."""
+    n_k = len(PeriodicKernel(fam, dim).record.log_series[1])
+    return kernels._FEATURE_DOUBLES // (2 * n_k * dim)
+
+
+# N on both sides of the 128-point band edge, a ragged last band, and on
+# both sides of the one-chunk edge of the feature chunks (at D = 1 a
+# chunk is never split, so there is no such edge)
+LOG_SERIES_CASES = (
+    [(fam, n, dim) for fam in ("mq", "gauss")
+     for n, dim in [(2, 1), (1100, 1), (127, 3), (128, 3), (129, 3), (256, 2), (257, 2),
+                    (512, 128)]]
+    + [(fam, feature_edge(fam, dim) + side, dim) for fam in ("mq", "gauss")
+       for dim in (2, 16, 128) for side in (0, 1)])
+
+
+@pytest.mark.parametrize("fam,n,dim", LOG_SERIES_CASES)
+def test_log_series_pair_mean_matches_dense_closed_forms(fam, n, dim, monkeypatch):
+    k = PeriodicKernel(fam, dim)
+    y = np.random.default_rng(7 * n + dim).random((n, dim))
+    sizes = []
+    build = kernels._cos_sin_multiples
+
+    def recorded(cos, sin, n_k):
+        out = build(cos, sin, n_k)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(kernels, "_cos_sin_multiples", recorded)
+    value = k.pair_mean(y)
+    assert value == pytest.approx(k.pairwise(y, y).mean(), rel=1e-13, abs=0.0)
+    # one feature chunk per band up to the edge, more past it; a chunk
+    # holds at most _FEATURE_DOUBLES doubles, or one dimension's features
+    n_k = len(k.record.log_series[1])
+    bands = -(-n // 128)
+    assert max(sizes) <= max(kernels._FEATURE_DOUBLES, 2 * n_k * n)
+    assert (len(sizes) > bands) == (dim > 1 and n > feature_edge(fam, dim))
+
+
+@pytest.mark.parametrize("fam", ("mq", "gauss"))
+def test_log_series_pair_mean_bit_reproducible(fam):
+    k = PeriodicKernel(fam, 128)
+    y = np.random.default_rng(3).random((512, 128))
+    first = k.pair_mean(y)
+    assert k.pair_mean(y) == first
+    assert k.pair_mean(y.copy()) == first
+
+
+@pytest.mark.parametrize("fam", ("exp", "trunc"))
 def test_factor_blocks_match_closed_forms(fam):
     k = PeriodicKernel(fam, 3)
     y = np.random.default_rng(9).random((40, 3))
@@ -287,7 +373,7 @@ def test_factor_logderiv_block_matches_closed_forms(fam, dim):
     for d in range(dim):
         t = y[rows, d, None] - y[None, cols, d]
         chi, ratio = k.factor_logderiv_block(setup, d, rows, cols)
-        assert np.array_equal(chi, k.factor_block(setup, d, rows, cols))
+        assert np.allclose(chi, k.factor(t), rtol=1e-14, atol=0.0)
         apart = t != 0.0
         # the truncated derivative jumps at its kinks; none are hit here
         assert np.allclose(ratio[apart], (k.factor_prime(t) / k.factor(t))[apart],
