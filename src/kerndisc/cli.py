@@ -253,7 +253,8 @@ def _check_lines() -> list[tuple[str, bool, str]]:
         ok = ok and abs(v - ref) <= 0.0015
     checks.append(("asymptotic table anchors", ok, f"{len(anchors)} cells"))
 
-    # the orbit-counted partial sum against the sum over listed indices
+    # the orbit-counted partial sum against the sum over listed indices; both
+    # walk one orbit search, so this checks the counting and the expansion
     n, dim = 512, 16
     worst = 0.0
     for fam in _k.FAMILIES:

@@ -635,14 +635,13 @@ class PeriodicKernel(Kernel):
         return (t,)
 
     def _block_args(self, setup, d: int, rows: slice, cols: slice, aux: bool) -> tuple:
-        """At t = x_d - y_d: (c = cos 2 pi t, [sin 2 pi t]) for the angle
-        set-up, (h = tau |t|, [sign(t)]) for reduced coordinates."""
+        """At t = x_d - y_d: (c = cos 2 pi t, sin 2 pi t) for the angle
+        set-up, which only the log-derivative reads, and (h = tau |t|,
+        [sign(t)]) for reduced coordinates."""
         if self.record.angle:
             cos, sin = setup
             c = np.multiply.outer(cos[d, rows], cos[d, cols])
             c += np.multiply.outer(sin[d, rows], sin[d, cols])
-            if not aux:
-                return (c,)
             s = np.multiply.outer(sin[d, rows], cos[d, cols])
             s -= np.multiply.outer(cos[d, rows], sin[d, cols])
             return c, s
@@ -789,11 +788,9 @@ class TransportedKernel(Kernel):
         v = u if v is u else np.asarray(v, dtype=float)
         return self.record.phi(self._distances(u, v))
 
-    def grad_sum_mapped(self, u: np.ndarray, v: np.ndarray,
-                        weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The weighted row sums sum_j weights[j] K(u_i, v_j), shape (n,),
-        and sum_j weights[j] * d/du K(u_i, v_j), shape (n, dim), from one
-        kernel matrix.
+    def grad_sum_mapped(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The row sums sum_j K(u_i, v_j), shape (n,), and
+        sum_j d/du K(u_i, v_j), shape (n, dim), from one kernel matrix.
 
         Gradient is with respect to the transported coordinate u; chain
         with TransportMap.prime_mapped(u) for cube-coordinate gradients.
@@ -806,7 +803,7 @@ class TransportedKernel(Kernel):
         v = u if v is u else np.asarray(v, dtype=float)
         dist = self._distances(u, v)
         kmat = rec.phi(dist.copy())
-        rows = kmat @ weights  # before grad_base may overwrite kmat
+        rows = kmat.sum(axis=1)  # before grad_base may overwrite kmat
         base = rec.grad_base(kmat, dist)
         if rec.l1:
             out = np.empty((u.shape[0], self.dim))
@@ -815,11 +812,10 @@ class TransportedKernel(Kernel):
                 np.subtract.outer(u[:, d], v[:, d], out=sgn)
                 np.sign(sgn, out=sgn)
                 sgn *= base
-                out[:, d] = sgn @ weights
+                out[:, d] = sgn.sum(axis=1)
         else:
-            # sum_j base_ij w_j (u_i - v_j) = u_i (base w)_i - (base diag(w) v)_i
-            out = u * (base @ weights)[:, None]
-            base *= weights
+            # sum_j base_ij (u_i - v_j) = u_i (base 1)_i - (base v)_i
+            out = u * base.sum(axis=1)[:, None]
             out -= base @ v
         out *= rec.grad_scale
         return rows, out

@@ -4,16 +4,16 @@ Periodic kernels on the unit cube are tensor products, so their Fourier
 coefficient at a lattice index ``alpha`` factorizes as
 ``rho(alpha) = prod_d r(alpha_d)`` with a single per-dimension
 coefficient function ``r`` (``r(0) = 1``, even, nonincreasing in |k| on
-its nonzero support).  This module enumerates lattice indices in
-nonincreasing coefficient order (best-first search over sparse index
-vectors) for the consumers that need the indices themselves, and
-computes the tail mass
+its nonzero support).  rho is unchanged by permuting or sign-flipping the
+entries of alpha, so one best-first search over these orbits visits the
+lattice in nonincreasing coefficient order.  It has two consumers:
+``enumerate_decreasing`` expands the orbits into signed indices, for
+the callers that need the indices themselves, and ``partial_sum`` counts
+them, for the tail mass
 
     tail(N) = T^D - sum of the N largest coefficients,   T = sum_k r(k),
 
-which drives the asymptotic discrepancy estimate sqrt(tail(N) / N).  The
-partial sum counts whole coefficient orbits (shape, multinomial count
-and signs) and lists no index.
+which drives the asymptotic discrepancy estimate sqrt(tail(N) / N).
 """
 
 from __future__ import annotations
@@ -143,10 +143,9 @@ class CoefficientProfile:
         return self.per_dim_total ** self.dim
 
     def coefficient(self, index: LatticeIndex) -> float:
-        out = 1.0
-        for _, v in index.entries:
-            out *= self.r(v)
-        return out
+        """prod_d r(alpha_d), multiplied in ascending order so that every
+        permutation and sign flip of ``alpha`` gets the same float."""
+        return math.prod(sorted(self.r(v) for _, v in index.entries), start=1.0)
 
 
 class _RankedMagnitudes:
@@ -197,142 +196,32 @@ class _RankedMagnitudes:
                 self.weights.append(-negw)
 
 
-def _tie_key(entries: tuple[tuple[int, int], ...]) -> tuple:
-    # deterministic tie order: fewer nonzero entries first, then the
-    # lexicographic order of (dimension, value) pairs
-    return (len(entries), entries)
-
-
-def enumerate_decreasing(profile: CoefficientProfile, count: int) -> list[LatticeTerm]:
-    """The ``count`` largest-coefficient lattice indices, nonincreasing.
-
-    Best-first search over sparse magnitude-rank vectors, with per
-    dimension magnitudes ranked by decreasing r value: coefficients
-    factorize and are coordinatewise nonincreasing in rank, so expanding
-    one coordinate's rank at a time from the zero index visits indices in
-    globally nonincreasing order.  Each unsigned rank vector expands to
-    all of its sign choices (equal coefficients); ties are emitted by
-    (number of nonzero entries, lexicographic (dimension, value) pairs).
-    Sums over the largest coefficients need no index list: see
-    ``partial_sum``.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    profile.validate()
-    dim = profile.dim
-    ranked = _RankedMagnitudes(profile)
-    mags, weights = ranked.mags, ranked.weights
-    ranked.ensure(1)
-    out: list[LatticeTerm] = []
-    # heap entries: (-coeff, tie_key(rank vector), ranks)
-    start: tuple[tuple[int, int], ...] = ()
-    heap = [(-1.0, _tie_key(start), start)]
-    seen = {start}
-
-    def push(key: tuple[tuple[int, int], ...], coeff: float) -> None:
-        if key not in seen:
-            seen.add(key)
-            heapq.heappush(heap, (-coeff, _tie_key(key), key))
-
-    def push_neighbors(ranks: tuple[tuple[int, int], ...]) -> None:
-        # each successor raises one dimension's rank by one; its key is
-        # spliced into the sorted rank tuple, and its coefficient is the
-        # product of its weights in key order.  The dimensions between two
-        # nonzero entries all splice (d, 1) in at the same place, so they
-        # share one coefficient.
-        ranked.ensure(max((j for _, j in ranks), default=0) + 1)
-        prefix = [1.0]
-        for _, j in ranks:
-            prefix.append(prefix[-1] * weights[j])
-        lo = 0
-        for p, end in enumerate([d for d, _ in ranks] + [dim]):
-            head, tail = ranks[:p], ranks[p:]
-            if lo < end:
-                c = prefix[p] * weights[1]
-                for _, j in tail:
-                    c *= weights[j]
-                for d in range(lo, end):
-                    push(head + ((d, 1),) + tail, c)
-            if end < dim:
-                j = ranks[p][1]
-                c = prefix[p] * weights[j + 1]
-                for _, jj in tail[1:]:
-                    c *= weights[jj]
-                push(head + ((end, j + 1),) + tail[1:], c)
-            lo = end + 1
-
-    while heap and len(out) < count:
-        negc, tie, ranks = heapq.heappop(heap)
-        coeff = -negc
-        # drain the whole (coefficient, nonzero-count) tie group so the
-        # signed indices can be emitted in global (nnz, lex) order; the
-        # zero-coefficient tail can tie without bound, so it is drained
-        # only as far as the remaining output requires
-        group = [ranks]
-        expansions = 2 ** len(ranks)
-        push_neighbors(ranks)
-        while heap and heap[0][0] == negc and heap[0][1][0] == tie[0]:
-            if coeff == 0.0 and expansions >= count - len(out):
-                break
-            _, _, more = heapq.heappop(heap)
-            group.append(more)
-            expansions += 2 ** len(more)
-            push_neighbors(more)
-        signed: list[tuple[tuple[int, int], ...]] = []
-        for member in group:
-            choices = [[(d, -mags[j]), (d, mags[j])] for d, j in member]
-            signed.extend(tuple(combo) for combo in itertools.product(*choices))
-        signed.sort()
-        for entries in signed:
-            if len(out) >= count:
-                break
-            out.append(LatticeTerm(LatticeIndex(dim, entries), coeff))
-    if len(out) < count:
-        raise ValueError("profile exhausted before reaching requested count")
-    return out
-
-
 def _orbit_size(dim: int, shape: tuple[int, ...]) -> int:
-    """C(D, s) s! / prod m_j! 2^s: the signed indices with nonzero ranks ``shape``."""
+    """C(D, s) s! / prod m_j! 2^s: the signed indices in the orbit of ``shape``."""
     size = math.perm(dim, len(shape)) << len(shape)
     for m in Counter(shape).values():
         size //= math.factorial(m)
     return size
 
 
-def partial_sum(profile: CoefficientProfile, count: int) -> float:
-    """Sum of the ``count`` largest coefficients, counted by orbits.
+def _orbits(profile: CoefficientProfile):
+    """Yield (coefficient, magnitudes) per orbit, in nonincreasing coefficient order.
 
-    rho(alpha) is unchanged by permuting the coordinates of alpha or
-    flipping their signs, so the top set is a union of whole orbits.  An
-    orbit is fixed by its shape, the nonincreasing tuple of its nonzero
-    per-dimension ranks; a shape of length s with part multiplicities
-    m_j has D! / ((D - s)! prod m_j!) 2^s indices.  Best-first search over
-    shapes (raise the first part of a run of equal parts by one rank, or
-    append a rank-1 part) visits them in nonincreasing coefficient order,
-    and each adds min(orbit size, remaining) copies of its coefficient.
-    No index is listed, so the cost depends on the number of shapes, not
-    on ``count``.
+    An orbit is fixed by its shape, the nonincreasing tuple of its
+    nonzero per-dimension ranks; its coefficient multiplies their weights
+    in shape order, which is ascending as in ``CoefficientProfile.coefficient``.
+    Best-first search over shapes (raise the first part of a run of equal
+    parts by one rank, or append a rank-1 part) breaks ties by (length,
+    shape) and runs on through the zero-coefficient tail without end.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    profile.validate()
     dim = profile.dim
     ranked = _RankedMagnitudes(profile)
-    weights = ranked.weights
-    heap: list[tuple[float, tuple[int, ...]]] = [(-1.0, ())]
+    mags, weights = ranked.mags, ranked.weights
+    heap: list[tuple[float, int, tuple[int, ...]]] = [(-1.0, 0, ())]
     seen = {()}
-    terms = []
-    remaining = count
-    while remaining:
-        negc, shape = heapq.heappop(heap)
-        if negc == 0.0:
-            break  # every shape left has a zero coefficient
-        take = min(_orbit_size(dim, shape), remaining)
-        # exact products, rounded once at the end: the correctly rounded
-        # sum of the listed coefficients, as math.fsum over them would give
-        terms.append(Fraction(-negc) * take)
-        remaining -= take
+    while True:
+        negc, _, shape = heapq.heappop(heap)
+        yield -negc, tuple(mags[j] for j in shape)
         ranked.ensure((shape[0] if shape else 0) + 1)
         succ = [shape[:i] + (j + 1,) + shape[i + 1:]
                 for i, j in enumerate(shape) if i == 0 or shape[i - 1] != j]
@@ -341,7 +230,74 @@ def partial_sum(profile: CoefficientProfile, count: int) -> float:
         for nxt in succ:
             if nxt not in seen:
                 seen.add(nxt)
-                heapq.heappush(heap, (-math.prod(weights[j] for j in nxt), nxt))
+                heapq.heappush(heap, (-math.prod(weights[j] for j in nxt), len(nxt), nxt))
+
+
+def enumerate_decreasing(profile: CoefficientProfile, count: int) -> list[LatticeTerm]:
+    """The ``count`` largest-coefficient lattice indices, nonincreasing.
+
+    Each orbit expands into its signed indices (dimension combinations x
+    distinct magnitude permutations x signs), all with the orbit's one
+    coefficient.  Ties are emitted by (number of nonzero entries,
+    lexicographic (dimension, value) pairs): each group of orbits sharing
+    one coefficient and one length is expanded, sorted and sliced.  Sums
+    over the largest coefficients need no index list: see ``partial_sum``.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    profile.validate()
+    dim = profile.dim
+    orbits = _orbits(profile)
+    out: list[LatticeTerm] = []
+    coeff, mags = next(orbits)
+    while len(out) < count:
+        group = [mags]
+        expansions = _orbit_size(dim, mags)
+        # the zero-coefficient tail can tie without bound, so it is drained
+        # only as far as the remaining output requires
+        for nxt_coeff, nxt in orbits:
+            if (nxt_coeff != coeff or len(nxt) != len(mags)
+                    or (coeff == 0.0 and expansions >= count - len(out))):
+                break
+            group.append(nxt)
+            expansions += _orbit_size(dim, nxt)
+        signed = []
+        for member in group:
+            values = [v for perm in set(itertools.permutations(member))
+                      for v in itertools.product(*[(-m, m) for m in perm])]
+            signed.extend(tuple(zip(dims, v))
+                          for dims in itertools.combinations(range(dim), len(member))
+                          for v in values)
+        signed.sort()
+        out.extend(LatticeTerm(LatticeIndex(dim, entries), coeff)
+                   for entries in signed[:count - len(out)])
+        coeff, mags = nxt_coeff, nxt
+    return out
+
+
+def partial_sum(profile: CoefficientProfile, count: int) -> float:
+    """Sum of the ``count`` largest coefficients, counted by orbits.
+
+    The top set is a union of whole orbits and at most one part of an
+    orbit, so each orbit adds min(orbit size, remaining) copies of its
+    coefficient.  No index is listed, so the cost depends on the number
+    of shapes, not on ``count``.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    profile.validate()
+    terms = []
+    remaining = count
+    for coeff, mags in _orbits(profile):
+        if coeff == 0.0:
+            break  # every orbit left has a zero coefficient
+        take = min(_orbit_size(profile.dim, mags), remaining)
+        # exact products, rounded once at the end: the correctly rounded
+        # sum of the listed coefficients, as math.fsum over them would give
+        terms.append(Fraction(coeff) * take)
+        remaining -= take
+        if not remaining:
+            break
     return float(sum(terms))
 
 

@@ -209,29 +209,29 @@ def _transported_objective(kernel: TransportedKernel, n: int, mc: MonteCarlo) ->
     # single integrals read only the first sample set a, frozen and mapped
     (a,) = mc.draw(kernel.dim, 1)
     ua = kernel.map_points(a)
-    w_single = np.full(mc.samples, 1.0 / mc.samples)
-    blocks = sample_blocks(mc.samples, n)
+    m = mc.samples
+    blocks = sample_blocks(m, n)
 
     def fun(y: np.ndarray) -> float:
         u = kernel.transport.apply(y)
         pair = float(kernel.kernel_mapped(u, u).mean())
-        single = np.zeros(n)
+        single = 0.0
         for blk in blocks:
-            single += kernel.kernel_mapped(u, ua[blk]) @ w_single[blk]
-        return pair - 2.0 * float(single.mean())
+            single += float(kernel.kernel_mapped(u, ua[blk]).sum())
+        return pair - 2.0 * single / (n * m)
 
     def grad(y: np.ndarray) -> tuple[float, np.ndarray]:
         u = kernel.transport.apply(y)
-        rows_pair, g_pair = kernel.grad_sum_mapped(u, u, np.ones(n))
+        rows_pair, g_pair = kernel.grad_sum_mapped(u, u)
         rows_single = np.zeros(n)
         g_single = np.zeros((n, kernel.dim))
         for blk in blocks:
-            rows, g = kernel.grad_sum_mapped(u, ua[blk], w_single[blk])
+            rows, g = kernel.grad_sum_mapped(u, ua[blk])
             rows_single += rows
             g_single += g
-        value = float(rows_pair.sum()) / (n * n) - 2.0 * float(rows_single.mean())
+        value = float(rows_pair.sum()) / (n * n) - 2.0 * float(rows_single.sum()) / (n * m)
         sprime = kernel.transport.prime_mapped(u)
-        return value, (2.0 / (n * n) * g_pair - 2.0 / n * g_single) * sprime
+        return value, (2.0 / (n * n) * g_pair - 2.0 / (n * m) * g_single) * sprime
 
     return _Objective(fun, grad, _sciopt.Bounds(_BOUNDARY_MARGIN, 1.0 - _BOUNDARY_MARGIN))
 

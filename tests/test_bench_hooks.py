@@ -42,6 +42,10 @@ def test_tracer_hooks_run_and_uninstall(capsys):
                          "--threads", "1", "--mc-samples", "1024"]) == 0
         assert cli.main(["points", "--kernel", "per-exp", "--mode", "optimized",
                          "--N", "8", "--D", "1", "--max-iters", "20"]) == 0
+        # the cond1 targets come from lattice.enumerate_decreasing, by name
+        lattice_metrics = tracer.metrics(rounds=1)
+        assert lattice_metrics["lattice.enumerate.calls"]["value"] > 0
+        assert lattice_metrics["lattice.enumerate.terms"]["value"] > 0
         # the one pipeline path through the scalar factor, which the
         # tracer files under kernel.family
         assert cli.main(["slice", "--kernel", "per-trunc", "--D", "1",

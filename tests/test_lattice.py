@@ -14,12 +14,15 @@ FAMILY_DIMS = [(fam, d) for fam in ("exp", "mq", "gauss", "trunc") for d in (1, 
 
 
 def brute_force_top(profile, count, box):
-    """Dense enumeration over the box with the same deterministic order."""
+    """Dense enumeration over the box with the same deterministic order.
+
+    Each coefficient multiplies its factors in ascending order, the one
+    order that gives every permutation and sign flip of an index the same
+    float."""
+    r = {k: profile.r(k) for k in range(-box, box + 1)}
     vals = []
     for alpha in itertools.product(range(-box, box + 1), repeat=profile.dim):
-        c = 1.0
-        for a in alpha:
-            c *= profile.r(a)
+        c = math.prod(sorted(r[a] for a in alpha))
         if c > 0.0:
             entries = tuple((d, v) for d, v in enumerate(alpha) if v)
             vals.append((-c, len(entries), entries))
@@ -55,13 +58,14 @@ def test_multiquadric_d2_tiers():
     assert nnz == [1, 1, 1, 1, 2, 2, 2, 2]
 
 
-@pytest.mark.parametrize("fam,dim", FAMILY_DIMS)
+@pytest.mark.parametrize("fam,dim", FAMILY_DIMS + [
+    (fam, 4) for fam in ("exp", "mq", "gauss", "trunc")])
 def test_brute_force_equivalence(fam, dim):
     profile = coefficient_profile(fam, dim)
-    count = {1: 60, 2: 200, 3: 100}[dim]
+    count = {1: 60, 2: 200, 3: 100, 4: 100}[dim]
     # the slow-decay profiles reach far along the axes; boxes sized to
     # strictly contain the top-count set (checked below)
-    box = {1: 70, 2: 40, 3: 17}[dim]
+    box = {1: 70, 2: 40, 3: 17, 4: 10}[dim]
     terms = enumerate_decreasing(profile, count)
     # the chosen box must strictly contain the top-count set
     assert max(abs(v) for t in terms for _, v in t.index.entries) <= box - 2
@@ -88,6 +92,23 @@ def test_sign_symmetry(fam, dim):
         if neg in by_index:
             assert by_index[neg] == t.coefficient
         assert profile.coefficient(neg) == t.coefficient
+
+
+def test_coefficient_invariant_under_permutation_and_sign():
+    # a product in dimension order would give per-gauss D = 3 (1, 1, 2) and
+    # (2, 1, 1) values one ulp apart
+    gauss = coefficient_profile("gauss", 3)
+    assert (gauss.coefficient(LatticeIndex.make(3, {0: 1, 1: 1, 2: 2}))
+            == gauss.coefficient(LatticeIndex.make(3, {0: 2, 1: 1, 2: 1})))
+    for fam in ("exp", "mq", "gauss", "trunc"):
+        for dim in (3, 4):
+            profile = coefficient_profile(fam, dim)
+            for t in enumerate_decreasing(profile, 700):
+                for perm in set(itertools.permutations(t.index.dense())):
+                    for signs in itertools.product((-1, 1), repeat=dim):
+                        alpha = dict(enumerate(s * v for s, v in zip(signs, perm)))
+                        c = profile.coefficient(LatticeIndex.make(dim, alpha))
+                        assert c == t.coefficient, (fam, dim, t.index, alpha)
 
 
 def test_tensor_identity_box_sums():
