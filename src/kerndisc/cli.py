@@ -281,6 +281,20 @@ def _check_lines() -> list[tuple[str, bool, str]]:
     checks.append(("gram mean vs rank-1 lattice sum", worst < 1e-13,
                    f"max rel diff {worst:.2e}, N={n}, D={dim}"))
 
+    # the descent's series gradient against central differences of
+    # pair_mean, which builds its own features over its own bands
+    n, dim, step = 12, 2, 1e-5
+    y = uniform_points(11, n, dim).coords
+    shifts = step * np.eye(n * dim).reshape(-1, n, dim)
+    worst = 0.0
+    for fam in ("mq", "gauss"):
+        kern = PeriodicKernel(fam, dim)
+        grad = kern.log_series_value_grad(y)[1].ravel() / (n * n)
+        fd = np.array([kern.pair_mean(y + h) - kern.pair_mean(y - h) for h in shifts]) / (2 * step)
+        worst = max(worst, float(np.max(np.abs(grad - fd)) / np.max(np.abs(fd))))
+    checks.append(("series gradient vs finite differences", worst < 1e-6,
+                   f"max rel diff {worst:.2e}, per-mq and per-gauss, N={n}, D={dim}"))
+
     # tra-gauss: S(x) = erfinv(2x - 1) maps a uniform x to N(0, 1/2), so its
     # integrals are Gaussian; the MC estimate must land within 5 standard
     # errors of that closed form (mean K(Y, Y) summed pair by pair here)

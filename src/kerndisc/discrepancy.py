@@ -221,10 +221,12 @@ def periodic_error_sp(kernel: PeriodicKernel, points: PointSet, params: NormPara
     """General-(s, p) lattice error over enumerated indices.
 
     Sums rho(alpha)^s |(1/N) sum_n exp(2 i pi <y^n, alpha>)|^p over the
-    largest-coefficient nonzero indices (default: first 10 N enumerated
-    terms); for s >= 1 the analytic bound on the omitted tail, including
-    the rounding error of the tail mass, is reported as metadata.  Phase
-    arrays above MAX_ARRAY_BYTES are refused before the enumeration.
+    first ``n_terms`` nonzero indices (default 10 N), cut back to the last
+    whole group of equal coefficients (ValueError if none fits), so no
+    tie order matters; ``metadata["n_terms"]`` is the count kept.  For
+    s >= 1 the analytic bound on the omitted tail, including the rounding
+    error of the tail mass, is reported as metadata.  Phase arrays above
+    MAX_ARRAY_BYTES are refused before the enumeration.
 
     The exponent is ``params.p`` itself, while ``spectral_error`` uses
     the conjugate p' = p/(p-1); the two conventions agree only at p = 2.
@@ -237,9 +239,15 @@ def periodic_error_sp(kernel: PeriodicKernel, points: PointSet, params: NormPara
     if count < 1:
         raise ValueError("n_terms must be >= 1")
     check_array_bytes(points.n * count, 16, f"the phases of {count} terms at N={points.n}")
-    terms = lattice.enumerate_decreasing(kernel.profile, count + 1)
-    alphas = np.array([t.index.dense() for t in terms[1:]], dtype=float)
-    rho = np.array([t.coefficient for t in terms[1:]])
+    # one term past the cut: the terms tied with it are dropped
+    terms = lattice.enumerate_decreasing(kernel.profile, count + 2)
+    while count and terms[count].coefficient == terms[-1].coefficient:
+        count -= 1
+    if count == 0:
+        raise ValueError(f"n_terms={len(terms) - 2} ends inside the first group of equal "
+                         "coefficients; pass more terms")
+    alphas = np.array([t.index.dense() for t in terms[1:count + 1]], dtype=float)
+    rho = np.array([t.coefficient for t in terms[1:count + 1]])
     phases = 2.0 * math.pi * (points.coords @ alphas.T)
     mods = np.abs(np.exp(1j * phases).mean(axis=0))
     s, p = params.s, params.p

@@ -76,6 +76,9 @@ _LOG_SERIES_TAIL = 1e-17
 # many doubles
 _FEATURE_DOUBLES = 2**16
 
+# kernel entries per row band of the log-series value-and-gradient pass
+_SERIES_BAND_DOUBLES = 2**20
+
 
 def erfinv(u):
     """Inverse error function on (-1, 1), odd by construction."""
@@ -191,16 +194,14 @@ def _log_series(a0: float, term, dim: int) -> tuple[float, np.ndarray]:
 class _PeriodicFamily:
     """One periodic family at one dimension: the scale (tau or q), the
     profile r(k) with its total (and an envelope where r is not
-    monotone), the scalar ``factor``/``factor_prime`` of f = t mod 1, and
-    the block formulas of the argument that the set-up kind ``angle``
-    picks (``PeriodicKernel._block_args``).
+    monotone), and the scalar ``factor``/``factor_prime`` of f = t mod 1.
 
-    The Gram sum takes one of two routes (``PeriodicKernel._gram_sum``):
-    a family whose log-factor is analytic carries its truncated cosine
-    series ``log_series`` (mq and gauss), and the others a ``block``
-    formula for tiles of factor products (exp and trunc, whose
-    log-factors have a kink at t = 0, so their coefficients decay like
-    1/k^2 and admit no short cut).
+    The Gram sum and the descent's value and gradient take one route per
+    family: a family whose log-factor is analytic carries its truncated
+    cosine series ``log_series`` (mq and gauss), and the others
+    ``block`` and ``logderiv_block`` formulas for tiles of factor
+    products (exp and trunc, whose log-factors have a kink at t = 0, so
+    their coefficients decay like 1/k^2 and admit no short cut).
     """
 
     envelope = None
@@ -208,8 +209,6 @@ class _PeriodicFamily:
 
 
 class _PerExp(_PeriodicFamily):
-    angle = False
-
     def __init__(self, dim: int):
         self.tau = tau = math.sqrt(12.0 / dim)
         self.total = (tau / 2.0) / math.tanh(tau / 2.0)
@@ -247,8 +246,6 @@ class _PerExp(_PeriodicFamily):
 
 
 class _PerMq(_PeriodicFamily):
-    angle = True
-
     def __init__(self, dim: int):
         self.q = q = 1.0 / (2.0 * dim + 1.0)
         self.total = (1.0 + q) / (1.0 - q)
@@ -267,19 +264,8 @@ class _PerMq(_PeriodicFamily):
         denom = 1.0 - 2.0 * q * np.cos(2.0 * math.pi * f) + q * q
         return -(1.0 - q * q) * 4.0 * math.pi * q * np.sin(2.0 * math.pi * f) / (denom * denom)
 
-    def logderiv_block(self, c, s):
-        # chi = (1 - q^2) / den and chi'/chi = -4 pi q sin(2 pi t) / den,
-        # den = 1 + q^2 - 2 q cos(2 pi t), built in place of c
-        den = c
-        den *= -2.0 * self.q
-        den += 1.0 + self.q * self.q
-        s *= -4.0 * math.pi * self.q
-        return np.divide(1.0 - self.q * self.q, den), np.divide(s, den, out=s)
-
 
 class _PerGauss(_PeriodicFamily):
-    angle = True
-
     def __init__(self, dim: int):
         self.q = q = 1.0 / (2.0 * dim)
         self.total = float(theta3(0.0, q))
@@ -310,32 +296,8 @@ class _PerGauss(_PeriodicFamily):
             out = out - 4.0 * k * w * np.sin(2.0 * k * z)
         return math.pi * out
 
-    def logderiv_block(self, c, s):
-        # theta_3 = 1 + 2 sum q^{k^2} T_k(c) with the cut-off of theta3,
-        # and pi theta_3'(pi t) = -4 pi s sum k w_k U_{k-1}(c), with T and
-        # U on the same recurrence 2c X_k - X_{k-1}
-        weights = self._weights
-        chi = 2.0 * weights[0] * c
-        chi += 1.0
-        acc = np.full_like(c, weights[0])
-        if len(weights) > 1:
-            two_c = 2.0 * c
-            t_prev, t_k = np.ones_like(c), c
-            u_prev, u_k = 0.0, 1.0
-            for k, w in enumerate(weights[1:], start=2):
-                t_prev, t_k = t_k, two_c * t_k - t_prev
-                u_prev, u_k = u_k, two_c * u_k - u_prev
-                chi += (2.0 * w) * t_k
-                acc += (k * w) * u_k
-        acc *= s
-        acc *= -4.0 * math.pi
-        acc /= chi
-        return chi, acc
-
 
 class _PerTrunc(_PeriodicFamily):
-    angle = False
-
     def __init__(self, dim: int):
         self.dim = dim
         self.tau = self.total = 1.0 + 1.0 / dim
@@ -622,29 +584,20 @@ class PeriodicKernel(Kernel):
         """Per-point data of the factor blocks, as (D, N) arrays.
 
         mq and gauss: (cos 2 pi y, sin 2 pi y); their factors are
-        functions of c = cos 2 pi (x - y), which angle addition builds
-        from these, and their log-series features are the multiples
-        cos/sin 2 pi k y of these.  exp and trunc: (y mod 1,); their
-        factors are even about f = 1/2, so functions of |x - y| on
-        reduced coordinates.
+        functions of cos 2 pi (x - y), and their log-series features
+        are the multiples cos/sin 2 pi k y of these.  exp and trunc:
+        (y mod 1,); their factors are even about f = 1/2, so functions of
+        |x - y| on reduced coordinates.
         """
         t = np.mod(np.asarray(coords, dtype=float).T, 1.0)
-        if self.record.angle:
+        if self.record.log_series is not None:
             angle = 2.0 * math.pi * t
             return np.cos(angle), np.sin(angle)
         return (t,)
 
     def _block_args(self, setup, d: int, rows: slice, cols: slice, aux: bool) -> tuple:
-        """At t = x_d - y_d: (c = cos 2 pi t, sin 2 pi t) for the angle
-        set-up, which only the log-derivative reads, and (h = tau |t|,
-        [sign(t)]) for reduced coordinates."""
-        if self.record.angle:
-            cos, sin = setup
-            c = np.multiply.outer(cos[d, rows], cos[d, cols])
-            c += np.multiply.outer(sin[d, rows], sin[d, cols])
-            s = np.multiply.outer(sin[d, rows], cos[d, cols])
-            s -= np.multiply.outer(cos[d, rows], sin[d, cols])
-            return c, s
+        """(h = tau |t|, [sign(t)]) at t = x_d - y_d, from reduced
+        coordinates."""
         (t,) = setup
         h = np.subtract.outer(t[d, rows], t[d, cols])
         sign = np.sign(h) if aux else None
@@ -661,9 +614,8 @@ class PeriodicKernel(Kernel):
                               cols: slice) -> tuple[np.ndarray, np.ndarray]:
         """(chi, chi'/chi) at t = x_d - y_d, for the block of ``factor_block``.
 
-        chi is the closed-form factor (bit-identical to ``factor_block``
-        where the record has one); the log-derivative reuses its
-        intermediates.  Every factor is strictly positive except the
+        chi is bit-identical to ``factor_block``; the log-derivative
+        reuses its intermediates.  Every factor is strictly positive except the
         truncated one at D = 1, which vanishes at |t| = 1/2 exactly; there
         chi' = 0 (the symmetric subgradient) is returned in place of
         0/0.  At t = 0 the log-derivative is 0 for every family.
@@ -719,6 +671,40 @@ class PeriodicKernel(Kernel):
             np.exp(acc, out=acc)
             total += float(acc[:, :m].sum()) + 2.0 * float(acc[:, m:].sum())
         return total
+
+    def log_series_value_grad(self, coords: np.ndarray) -> tuple[float, np.ndarray]:
+        """The Gram sum of ``_log_series_sum`` and its (N, D) gradient in
+        the points, from one set of log-series features.
+
+        With z = e^{2 pi i k y_d}, k = 1 .. K (one running product over k),
+        and F its real and imaginary parts, log K = D a_0 + (F a) F^T and
+        the gradient is -4 pi sum_k k a_k Im(conj((K z)_idk) z_idk).  Row
+        bands of at most ``_SERIES_BAND_DOUBLES`` kernel entries take two
+        matrix products, (F a) F^T and then K F; the sum is the fsum of
+        the row sums.  Memory: the N x 2DK features, one band of kernel
+        entries, and (rows, 2DK) temporaries.
+        """
+        a0, coef = self.record.log_series
+        n, dim = coords.shape
+        n_k = len(coef)
+        cos, sin = self.gram_setup(coords)
+        z = np.cumprod(np.broadcast_to((cos + 1j * sin).T[:, :, None], (n, dim, n_k)), axis=2)
+        feats = z.view(float).reshape(n, -1)
+        row_sums = np.empty(n)
+        grad = np.empty((n, dim))
+        rows = min(n, max(1, _SERIES_BAND_DOUBLES // n))
+        band_buf = np.empty((rows, n))
+        for lo in range(0, n, rows):
+            band = slice(lo, min(lo + rows, n))
+            kmat = np.matmul((z[band] * coef).reshape(-1, dim * n_k).view(float), feats.T,
+                             out=band_buf[:band.stop - lo])
+            kmat += dim * a0
+            np.exp(kmat, out=kmat)
+            row_sums[band] = kmat.sum(axis=1)
+            kz = (kmat @ feats).view(complex).reshape(-1, dim, n_k)
+            grad[band] = (kz.conj() * z[band]).imag @ (np.arange(1, n_k + 1) * coef)
+        grad *= -4.0 * math.pi
+        return math.fsum(row_sums.tolist()), grad
 
     def pairwise(self, x, y):
         return self.elementwise(np.asarray(x, dtype=float)[:, None, :],

@@ -4,17 +4,19 @@ annihilation system, canonical grids, and the 1-D closed form.
 Descent minimizes the squared discrepancy directly (for periodic kernels
 the constant integral terms drop, leaving the mean of the Gram matrix)
 with SciPy's L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995).  Each evaluation is
-one kernel pass that yields the value and the gradient together.  For
-periodic kernels the pass runs over blocks of Gram columns: the Gram
-block K is the running product of the factor blocks chi_d, and the
-gradient comes from the log-derivative identity dK/dx_d = K chi'_d /
-chi_d, with chi'/chi built beside chi (every periodic factor is strictly
-positive; the one zero, trunc at D = 1, carries the zero subgradient).
-Spline factors vanish on the boundary, so the spline gradient keeps
-prefix and suffix products.  The annihilation system drives I(Y) =
-sum_n |sum_m exp(2 i pi <y^m, alpha^n>)|^2 to zero over a target set of
-nonzero lattice indices, taking the value and the gradient from one set
-of exponentials per evaluation; its residual I(Y)/N^2 bounds the
+one kernel pass that yields the value and the gradient together, by one
+route per periodic family.  mq and gauss take both from the log-series
+features of their Gram mean (``PeriodicKernel.log_series_value_grad``).
+exp and trunc run over blocks of Gram columns: the Gram block K is the
+running product of the factor blocks chi_d, and the gradient comes from
+the log-derivative identity dK/dx_d = K chi'_d / chi_d, with chi'/chi
+built beside chi (both factors are strictly positive but for the one
+zero of trunc at D = 1, which carries the zero subgradient).  Spline
+factors vanish on the boundary, so the spline gradient keeps prefix and
+suffix products.  The annihilation system drives I(Y) = sum_n |sum_m
+exp(2 i pi <y^m, alpha^n>)|^2 to zero over a target set of nonzero
+lattice indices, taking the value and the gradient from one set of
+exponentials per evaluation; its residual I(Y)/N^2 bounds the
 discrepancy head, leaving only the coefficient tail.
 """
 
@@ -135,8 +137,6 @@ def _tensor_pair_grad(n: int, dim: int, factor_fn, prime_fn) -> tuple[float, np.
 
 
 def _periodic_objective(kernel: PeriodicKernel, n: int) -> _Objective:
-    # value and gradient both build their factors from the kernel's
-    # per-point set-up (angle addition for mq and gauss)
     every = slice(None)
     dim = kernel.dim
     block = max(1, min(n, _LOGDERIV_DOUBLES // (dim * n)))
@@ -144,7 +144,7 @@ def _periodic_objective(kernel: PeriodicKernel, n: int) -> _Objective:
     def fun(y: np.ndarray) -> float:
         return kernel.pair_mean(y) - 1.0
 
-    def grad(y: np.ndarray) -> tuple[float, np.ndarray]:
+    def tile_value_grad(y: np.ndarray) -> tuple[float, np.ndarray]:
         # log-derivative pass: dK/dx_d = K chi'_d / chi_d over a column
         # block, with K the running product of the factor blocks.  The
         # diagonal pair needs no mask: chi'/chi is exactly 0 at t = 0.
@@ -161,6 +161,17 @@ def _periodic_objective(kernel: PeriodicKernel, n: int) -> _Objective:
             total += float(gram.sum())
             for d, ratio in enumerate(ratios):
                 g[:, d] += 2.0 * np.einsum("ij,ij->i", gram, ratio)
+        return total, g
+
+    value_grad = tile_value_grad
+    if kernel.record.log_series is not None:
+        # the series pass's N x D x K complex features, refused up front
+        check_array_bytes(n * dim * len(kernel.record.log_series[1]), 16,
+                          f"the log-series features of {n} points at D={dim}")
+        value_grad = kernel.log_series_value_grad
+
+    def grad(y: np.ndarray) -> tuple[float, np.ndarray]:
+        total, g = value_grad(y)
         return total / (n * n) - 1.0, g / (n * n)
 
     return _Objective(fun, grad, None)

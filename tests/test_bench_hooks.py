@@ -46,6 +46,12 @@ def test_tracer_hooks_run_and_uninstall(capsys):
         lattice_metrics = tracer.metrics(rounds=1)
         assert lattice_metrics["lattice.enumerate.calls"]["value"] > 0
         assert lattice_metrics["lattice.enumerate.terms"]["value"] > 0
+        # the per-gauss descent takes the log-series route, and the tracer
+        # still counts its evaluations through the objective's grad
+        assert cli.main(["points", "--kernel", "per-gauss", "--mode", "optimized",
+                         "--N", "8", "--D", "2", "--max-iters", "20"]) == 0
+        grad_evals = tracer.metrics(rounds=1)["optimize.descent.grad_evals"]["value"]
+        assert grad_evals > lattice_metrics["optimize.descent.grad_evals"]["value"]
         # the one pipeline path through the scalar factor, which the
         # tracer files under kernel.family
         assert cli.main(["slice", "--kernel", "per-trunc", "--D", "1",

@@ -189,7 +189,7 @@ def test_slice_non_tensor_kernel_center_slice():
 def test_check_command_passes():
     code, out = run_cli("check")
     assert code == 0
-    assert "11/11 checks passed" in out
+    assert "12/12 checks passed" in out
 
 
 def test_points_validation_error_exit_code():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -273,6 +274,34 @@ def test_periodic_error_sp_reduces_to_squared_error():
     closed = periodic_error(k, pts)
     assert sp.squared_value == pytest.approx(closed.squared_value, rel=1e-6)
     assert sp.metadata["tail_bound"] is not None
+
+
+def test_periodic_error_sp_cuts_at_a_whole_tie_group():
+    # per-mq D = 4: 2000 terms end inside the |alpha|_1 = 7 shell, so the
+    # sum stops at the last whole group of equal coefficients and does not
+    # depend on the order the enumeration gives tied indices
+    k = PeriodicKernel("mq", 4)
+    pts = uniform_points(16, 16, 4)
+    sp = periodic_error_sp(k, pts, NormParams(1, 2), n_terms=2000)
+    # brute force over the box |alpha_d| <= 8, which holds |alpha|_1 <= 7,
+    # with the enumeration's float rule (factors multiplied in ascending order)
+    r = {v: k.profile.r(v) for v in range(-8, 9)}
+    rows = sorted(((math.prod(sorted(r[v] for v in alpha)), alpha)
+                   for alpha in itertools.product(range(-8, 9), repeat=4) if any(alpha)),
+                  key=lambda row: -row[0])
+    cut = rows[2000][0]  # the coefficient of the first term past 2000
+    kept = [(c, alpha) for c, alpha in rows if c > cut]
+    assert 1288 <= len(kept) < 2000  # the shells |alpha|_1 <= 6 are whole
+    assert sp.metadata["n_terms"] == len(kept)
+    rho = np.array([c for c, _ in kept])
+    alphas = np.array([alpha for _, alpha in kept], dtype=float)
+    mods = np.abs(np.exp(2j * math.pi * pts.coords @ alphas.T).mean(axis=0))
+    assert sp.squared_value == pytest.approx(float(np.sum(rho * mods**2)), rel=1e-12)
+    assert sp.metadata["tail_bound"] >= tail_mass(k.profile, len(kept) + 1)
+    # the first group, +-e_d, holds 8 indices: 8 terms are whole, 5 are not
+    assert periodic_error_sp(k, pts, NormParams(1, 2), n_terms=8).metadata["n_terms"] == 8
+    with pytest.raises(ValueError, match="first group"):
+        periodic_error_sp(k, pts, NormParams(1, 2), n_terms=5)
 
 
 def test_report_value_clamps_tiny_negative():

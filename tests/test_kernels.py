@@ -361,7 +361,7 @@ def test_factor_blocks_match_closed_forms(fam):
                            rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("fam", FAMILIES)
+@pytest.mark.parametrize("fam", ("exp", "trunc"))
 @pytest.mark.parametrize("dim", [1, 3])
 def test_factor_logderiv_block_matches_closed_forms(fam, dim):
     # rows and cols overlap, so the block holds coincident coordinates

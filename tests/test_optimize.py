@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from kerndisc import cli
 from kerndisc.discrepancy import MonteCarlo, periodic_error, physical_error
-from kerndisc.kernels import (FAMILIES, PeriodicKernel, SplineKernel, TransportedKernel,
-                              kernel_from_id)
+from kerndisc.kernels import (_SERIES_BAND_DOUBLES, FAMILIES, PeriodicKernel, SplineKernel,
+                              TransportedKernel, kernel_from_id)
 from kerndisc.lattice import enumerate_decreasing, tail_mass
 from kerndisc.optimize import (_LOGDERIV_DOUBLES, Cond1Problem, OptimizerConfig, box_targets,
                                build_objective, canonical_grid, cond1_functional,
@@ -54,7 +56,8 @@ def dense_periodic_gradient(kernel, y):
 @pytest.mark.parametrize("dim", [1, 2, 8, 128])
 @pytest.mark.parametrize("side", [0, 1])
 def test_periodic_gradient_matches_dense_reference(fam, dim, side):
-    # N = edge is the largest N whose gradient pass is one column block
+    # N = edge is the largest N whose exp/trunc gradient pass is one
+    # column block; mq and gauss run over several row bands at D <= 2
     n = math.isqrt(_LOGDERIV_DOUBLES // dim) + side
     k = PeriodicKernel(fam, dim)
     y = np.random.default_rng(31 * dim + side).random((n, dim))
@@ -66,10 +69,25 @@ def test_periodic_gradient_matches_dense_reference(fam, dim, side):
         return block_fn(setup, d, rows, cols)
 
     k.factor_logderiv_block = recorded
-    value, g = build_objective(k, n).grad(y)
-    # the D log-derivative blocks of a column block hold <= 2^22 doubles
-    assert dim * n * max(widths) <= _LOGDERIV_DOUBLES
-    assert (len(widths) > dim) == bool(side)
+    obj = build_objective(k, n)
+    tracemalloc.start()
+    try:
+        value, g = obj.grad(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if k.record.log_series is None:
+        # the D log-derivative blocks of a column block hold <= 2^22 doubles
+        assert dim * n * max(widths) <= _LOGDERIV_DOUBLES
+        assert (len(widths) > dim) == bool(side)
+    else:
+        # one series pass and no tiles: its N x D x K complex features and
+        # the (rows, 2DK) temporaries of a band stay within four times the
+        # features, next to one band of <= 2^20 kernel entries (the full
+        # N x N matrix, 34 MB at N = 2048, would not fit)
+        assert widths == []
+        features = 16 * n * dim * len(k.record.log_series[1])
+        assert peak <= 8 * _SERIES_BAND_DOUBLES + 4 * features
     ref = dense_periodic_gradient(k, y)
     assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert value == pytest.approx(k.pair_mean(y) - 1.0, rel=1e-12, abs=1e-15)
@@ -320,7 +338,7 @@ def test_transported_report_scores_held_out_stream():
     assert rep.squared_value == held_out.squared_value
 
 
-def test_size_guards_refuse_before_allocating():
+def test_size_guards_refuse_before_allocating(capsys):
     # 2^15 points x 2^15 targets would be 16 GiB per complex array
     prob = Cond1Problem(np.ones((2**15, 1)), 1)
     y = np.zeros((2**15, 1))
@@ -330,6 +348,13 @@ def test_size_guards_refuse_before_allocating():
         cond1_gradient(prob, y)
     with pytest.raises(ValueError, match="GiB"):
         build_objective(TransportedKernel("gauss", 16), 8, MonteCarlo(2**24, 0))
+    # 2^21 points x 52 per-gauss D = 1 series terms: 1.6 GiB of complex
+    # features, refused before the descent starts, and by the CLI with exit 2
+    with pytest.raises(ValueError, match="GiB"):
+        build_objective(PeriodicKernel("gauss", 1), 2**21)
+    assert cli.main(["points", "--kernel", "per-gauss", "--mode", "optimized",
+                     "--N", str(2**21), "--D", "1"]) == 2
+    assert "GiB" in capsys.readouterr().err
 
 
 def test_descent_aborts_on_nonfinite_gradient(monkeypatch):
