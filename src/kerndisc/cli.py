@@ -140,6 +140,8 @@ def cmd_table(args) -> int:
     n_list = _parse_int_list(args.N)
     d_list = _parse_int_list(args.D)
     mode = args.mode
+    if args.threads is not None and args.threads < 1:
+        raise ValueError("--threads must be >= 1")
     kernel0 = kernel_from_id(args.kernel, d_list[0])  # validates the id
     if mode == "asymptotic" and not isinstance(kernel0, PeriodicKernel):
         raise ValueError("asymptotic mode is defined for periodic kernels only")

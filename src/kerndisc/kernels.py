@@ -8,9 +8,9 @@ ways:
   whose Fourier coefficients are exactly a normalized profile with
   rho(0) = 1 and per-dimension total T ~ 1 + 1/D, so the diagonal
   K(x,x) = T^D stays below e in every dimension;
-* ``tra-*``  transported versions, the seed formula composed with the
-  componentwise inverse-erf map S(x) = erfinv(2x - 1) = ndtri(x)/sqrt(2),
-  rescaled so the diagonal stays below e.
+* ``tra-*``  transported versions, scale * phi(c r) of a seed formula phi
+  at the distance r between S(x) and S(y), S(x) = erfinv(2x - 1) =
+  ndtri(x)/sqrt(2) componentwise (table below).
 
 Per-dimension conventions (q is the Fourier ratio, tau the rate):
 
@@ -24,18 +24,25 @@ Per-dimension conventions (q is the Fourier ratio, tau the rate):
     trunc    tau[(1-tau f)_+ + (1-tau(1-f))_+],   sinc^2(pi k / tau)
                  tau = 1 + 1/D
 
-with f the fractional part of x_d - y_d.  Transported parameters follow
-the same diagonal-below-e recipe; the truncated transported pair
-(tau = sqrt(2/D), beta = 1) is an engineering convention, chosen to
-mirror the multiquadric one.
+with f the fractional part of x_d - y_d.  Transported records: r is the
+squared distance (L1 for exp), tau = sqrt(2/D) (sqrt(pi)/D for exp), and
+beta keeps the diagonal, scale, below e.  tra-trunc is Cauchy-type, not
+the truncated seed (1 - sqrt(r))_+^D: a convention that mirrors mq.
 
-Each family is written down once per localization, in a record that
-the kernel classes read: ``_PERIODIC``, ``_TRANSPORTED`` and ``_SEED``.
+    tra-*    phi(c r)                  c          scale
+    exp      e^{-c r}                  tau        1/beta
+    mq       (1 + c r)^{-(D+1)/2}      tau^2      beta
+    gauss    e^{-c r/2}                2 tau^2    beta
+    trunc    (1 + c r)^{-D}            tau        1
+
+The seed formulas are written once, in ``_seed``; ``_transported``
+composes them with S, and ``_PERIODIC`` holds the periodic families.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -143,17 +150,13 @@ class TransportMap:
         """dS/dx = sqrt(pi) * exp(u^2) at the x whose image is u = S(x)."""
         return math.sqrt(math.pi) * np.exp(u * u)
 
-    def inverse(self, s: np.ndarray) -> np.ndarray:
-        return (special.erf(np.asarray(s, dtype=float)) + 1.0) / 2.0
 
-
-def _lookup(table: dict, family: str, dim: int):
-    """The entry of a per-family table, after checking the family and dim."""
-    if family not in table:
+def _check(family: str, dim: int) -> None:
+    """Refuse a family outside ``FAMILIES`` and a dim below 1."""
+    if family not in FAMILIES:
         raise ValueError(f"unknown kernel family {family!r}; choose from {FAMILIES}")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    return table[family]
 
 
 # periodic records -----------------------------------------------------------
@@ -351,102 +354,95 @@ _PERIODIC = {"exp": _PerExp, "mq": _PerMq, "gauss": _PerGauss, "trunc": _PerTrun
 @lru_cache(maxsize=None)
 def coefficient_profile(family: str, dim: int) -> CoefficientProfile:
     """The exact Fourier-coefficient profile of a periodic kernel."""
-    rec = _lookup(_PERIODIC, family, dim)(dim)
+    _check(family, dim)
+    rec = _PERIODIC[family](dim)
     return CoefficientProfile(dim, rec.r, rec.total, name=f"per-{family}[D={dim}]",
                               envelope=rec.envelope)
 
 
-# transported records ---------------------------------------------------------
+# radial formulas -------------------------------------------------------------
 
-class _Transported:
-    """One transported family at one dimension: ``phi`` turns distances
-    (L1 if ``l1``, else squared) into K in place; d/du K is ``grad_scale *
-    grad_base(K, dist)`` times sign(u - v) (L1) or u - v (squared)."""
+class _Radial:
+    """K = phi(c r) of the distance r, L1 if ``l1``, else squared:
+    ``phi(dist, c)`` overwrites the distances, c folded into its first op.
+    Where the descent needs it, d/du K is slope * c * grad_base(K, dist, c)
+    times sign(u - v) or u - v; grad_base may overwrite both arrays."""
 
     l1 = False
 
-    def grad_base(self, kmat: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    def grad_base(self, kmat: np.ndarray, dist: np.ndarray, c: float) -> np.ndarray:
         return kmat
 
 
-class _TraExp(_Transported):
-    """exp(-tau |u - v|_1) / beta, beta = erfcx(tau/2)^D."""
+class _Exponential(_Radial):
+    """e^{-rate c r}: exp is rate 1 on the L1 distance, gauss 1/2 on the squared one."""
 
-    l1 = True
+    def __init__(self, l1: bool, rate: float):
+        self.l1, self.rate = l1, rate
+        self.slope = -rate if l1 else -2.0 * rate
 
-    def __init__(self, dim: int):
-        self.tau = math.sqrt(math.pi) / dim
-        # erfcx(z) = exp(z^2) erfc(z), overflow-free
-        self.beta = float(special.erfcx(self.tau / 2.0)) ** dim
-        self.diagonal = 1.0 / self.beta
-        self.grad_scale = -self.tau
-
-    def phi(self, dist):
-        dist *= -self.tau
-        np.exp(dist, out=dist)
-        dist /= self.beta
-        return dist
+    def phi(self, dist, c):
+        dist *= -self.rate * c
+        return np.exp(dist, out=dist)
 
 
-class _TraGauss(_Transported):
-    """beta exp(-tau^2 |u - v|^2), beta = (1 + tau^2)^(D/2)."""
+class _Rational(_Radial):
+    """(1 + c r)^(-a)."""
 
-    def __init__(self, dim: int):
-        self.tau = math.sqrt(2.0 / dim)
-        self.beta = self.diagonal = (1.0 + self.tau**2) ** (dim / 2.0)
-        self.grad_scale = -2.0 * self.tau**2
+    def __init__(self, a: float):
+        self.a, self.slope = a, -2.0 * a
 
-    def phi(self, dist):
-        dist *= -self.tau**2
-        np.exp(dist, out=dist)
-        dist *= self.beta
-        return dist
-
-
-class _TraRational(_Transported):
-    """beta (1 + c |u - v|^2)^(-a): mq and trunc."""
-
-    def __init__(self, tau: float, c: float, a: float, beta: float):
-        self.tau, self._c, self._a = tau, c, a
-        self.beta = self.diagonal = beta
-        self.grad_scale = -2.0 * a * c
-
-    def phi(self, dist):
-        dist *= self._c
+    def phi(self, dist, c):
+        dist *= c
         dist += 1.0
-        np.power(dist, -self._a, out=dist)
-        dist *= self.beta
-        return dist
+        return np.power(dist, -self.a, out=dist)
 
-    def grad_base(self, kmat, dist):
+    def grad_base(self, kmat, dist, c):
         # K / (1 + c r)
-        dist *= self._c
+        dist *= c
         dist += 1.0
         return np.divide(kmat, dist, out=kmat)
 
 
-def _tra_mq(dim: int) -> _TraRational:
+class _Truncated(_Radial):
+    """(1 - sqrt(c r))_+^D, a seed formula only."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+
+    def phi(self, dist, c):
+        dist *= c
+        np.subtract(1.0, np.sqrt(dist, out=dist), out=dist)
+        return np.power(np.maximum(dist, 0.0, out=dist), self.dim, out=dist)
+
+
+def _seed(dim: int) -> dict:
+    """The seed formula of each family at dim; c = 1 gives the seed kernel."""
+    return {"exp": _Exponential(l1=True, rate=1.0), "mq": _Rational((dim + 1) / 2.0),
+            "gauss": _Exponential(l1=False, rate=0.5), "trunc": _Truncated(dim)}
+
+
+class _TraRecord(namedtuple("_TraRecord", "formula c scale tau beta")):
+    def phi(self, dist: np.ndarray) -> np.ndarray:
+        """K = scale * formula.phi(c r), in place of the distances r."""
+        kmat = self.formula.phi(dist, self.c)
+        kmat *= self.scale
+        return kmat
+
+
+def _transported(dim: int) -> dict:
+    """The tra-* records at dim, as tabled in the module docstring."""
+    seed = _seed(dim)
+    tau_exp = math.sqrt(math.pi) / dim
+    # erfcx(z) = exp(z^2) erfc(z), overflow-free
+    beta_exp = float(special.erfcx(tau_exp / 2.0)) ** dim
     tau = math.sqrt(2.0 / dim)
-    x = 1.0 / tau
-    beta = (math.sqrt(math.pi) * float(special.erfcx(x)) * x) ** (-dim)
-    return _TraRational(tau, tau**2, (dim + 1) / 2.0, beta)
-
-
-def _tra_trunc(dim: int) -> _TraRational:
-    # convention: no closed scaling is prescribed for this family
-    tau = math.sqrt(2.0 / dim)
-    return _TraRational(tau, tau, float(dim), 1.0)
-
-
-_TRANSPORTED = {"exp": _TraExp, "mq": _tra_mq, "gauss": _TraGauss, "trunc": _tra_trunc}
-
-# seed formulas: (L1 distance, else squared Euclidean; phi(r, D))
-_SEED = {
-    "exp": (True, lambda r, dim: np.exp(-r)),
-    "mq": (False, lambda r, dim: (1.0 + r) ** (-(dim + 1) / 2.0)),
-    "gauss": (False, lambda r, dim: np.exp(-r / 2.0)),
-    "trunc": (False, lambda r, dim: np.maximum(1.0 - np.sqrt(r), 0.0) ** dim),
-}
+    beta_mq = (math.sqrt(math.pi) * float(special.erfcx(1.0 / tau)) * (1.0 / tau)) ** (-dim)
+    beta_gauss = (1.0 + tau**2) ** (dim / 2.0)
+    return {"exp": _TraRecord(seed["exp"], tau_exp, 1.0 / beta_exp, tau_exp, beta_exp),
+            "mq": _TraRecord(seed["mq"], tau**2, beta_mq, tau, beta_mq),
+            "gauss": _TraRecord(seed["gauss"], 2.0 * tau**2, beta_gauss, tau, beta_gauss),
+            "trunc": _TraRecord(_Rational(float(dim)), tau, 1.0, tau, 1.0)}
 
 
 # kernel classes -------------------------------------------------------------
@@ -529,13 +525,13 @@ class Kernel:
 
 
 class SeedKernel(Kernel):
-    """Translation-invariant kernel on R^D with chi(0) = 1 (Table stock:
-    exponential, multiquadric, Gaussian, truncated).  Distances come from
-    exact differences: seed-trunc's sqrt would turn 1e-16 rounding into 1e-8.
-    """
+    """The seed formula ``record`` on R^D, phi(r) with phi(0) = 1.  Distances
+    come from exact differences: seed-trunc's sqrt would turn 1e-16
+    rounding into 1e-8."""
 
     def __init__(self, family: str, dim: int):
-        self._l1, self._phi = _lookup(_SEED, family, dim)
+        _check(family, dim)
+        self.record = _seed(dim)[family]
         self.family = family
         self.dim = dim
         self.kernel_id = f"seed-{family}"
@@ -546,13 +542,13 @@ class SeedKernel(Kernel):
         acc = np.zeros((x.shape[0], y.shape[0]))
         for d in range(self.dim):
             diff = x[:, d, None] - y[None, :, d]
-            acc += np.abs(diff) if self._l1 else diff * diff
-        return self._phi(acc, self.dim)
+            acc += np.abs(diff) if self.record.l1 else diff * diff
+        return self.record.phi(acc, 1.0)
 
     def elementwise(self, x, y):
         diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        dist = np.abs(diff).sum(axis=1) if self._l1 else (diff * diff).sum(axis=1)
-        return self._phi(dist, self.dim)
+        dist = np.abs(diff).sum(axis=1) if self.record.l1 else (diff * diff).sum(axis=1)
+        return self.record.phi(dist, 1.0)
 
 
 class PeriodicKernel(Kernel):
@@ -564,11 +560,11 @@ class PeriodicKernel(Kernel):
     """
 
     def __init__(self, family: str, dim: int):
-        self.record = _lookup(_PERIODIC, family, dim)(dim)
+        self.profile = coefficient_profile(family, dim)  # checks family and dim
+        self.record = _PERIODIC[family](dim)
         self.family = family
         self.dim = dim
         self.kernel_id = f"per-{family}"
-        self.profile = coefficient_profile(family, dim)
 
     def factor(self, t):
         """The 1-D periodic factor chi(t); chi(0) = T."""
@@ -730,11 +726,12 @@ class PeriodicKernel(Kernel):
 
 
 class TransportedKernel(Kernel):
-    """Seed kernel composed with the inverse-erf transport, on [0,1]^D;
-    ``record`` is the family's description."""
+    """scale * phi(c r), r the distance between S(x) and S(y), on [0,1]^D;
+    ``record`` holds (formula, c, scale, tau, beta), and K(x, x) = scale."""
 
     def __init__(self, family: str, dim: int):
-        self.record = _lookup(_TRANSPORTED, family, dim)(dim)
+        _check(family, dim)
+        self.record = _transported(dim)[family]
         self.family = family
         self.dim = dim
         self.kernel_id = f"tra-{family}"
@@ -751,7 +748,7 @@ class TransportedKernel(Kernel):
         clamped at 0 against rounding; when ``u is v`` the diagonal is set
         to exactly 0.  The L1 distance is summed per dimension.
         """
-        if self.record.l1:
+        if self.record.formula.l1:
             dist = np.zeros((u.shape[0], v.shape[0]))
             buf = np.empty_like(dist)
             for d in range(self.dim):
@@ -784,14 +781,14 @@ class TransportedKernel(Kernel):
         over many samples passes them in blocks (``sample_blocks`` in
         ``discrepancy``) and adds the block results.
         """
-        rec = self.record
+        rec, formula = self.record, self.record.formula
         u = np.asarray(u, dtype=float)
         v = u if v is u else np.asarray(v, dtype=float)
         dist = self._distances(u, v)
         kmat = rec.phi(dist.copy())
         rows = kmat.sum(axis=1)  # before grad_base may overwrite kmat
-        base = rec.grad_base(kmat, dist)
-        if rec.l1:
+        base = formula.grad_base(kmat, dist, rec.c)
+        if formula.l1:
             out = np.empty((u.shape[0], self.dim))
             sgn = dist  # reused as the sign buffer
             for d in range(self.dim):
@@ -803,7 +800,7 @@ class TransportedKernel(Kernel):
             # sum_j base_ij (u_i - v_j) = u_i (base 1)_i - (base v)_i
             out = u * base.sum(axis=1)[:, None]
             out -= base @ v
-        out *= rec.grad_scale
+        out *= formula.slope * rec.c
         return rows, out
 
     def pairwise(self, x, y):
@@ -815,14 +812,14 @@ class TransportedKernel(Kernel):
 
     def elementwise_mapped(self, u, v):
         diff = np.subtract(u, v, dtype=float)
-        if self.record.l1:
+        if self.record.formula.l1:
             np.abs(diff, out=diff)
         else:
             diff *= diff
         return self.record.phi(diff.sum(axis=1))
 
     def diagonal(self) -> float:
-        return self.record.diagonal
+        return self.record.scale
 
 
 class SplineKernel(Kernel):

@@ -65,6 +65,15 @@ def test_table_byte_determinism():
     assert out1 == out2
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_table_refuses_threads_below_one(threads, capsys):
+    code, out = run_cli("table", "--kernel", "per-exp", "--mode", "asymptotic", "--N", "16",
+                        "--D", "1", "--threads", threads)
+    assert code == 2
+    assert out == ""
+    assert "--threads must be >= 1" in capsys.readouterr().err
+
+
 def test_table_threads_do_not_change_output():
     base = ("table", "--kernel", "per-exp", "--mode", "asymptotic", "--N", "16,32",
             "--D", "1,2,4", "--format", "csv")

