@@ -27,7 +27,7 @@ def run(outdir: pathlib.Path, quick: bool) -> None:
             argv = ["points", "--kernel", kernel, "--mode", mode,
                     "--N", n, "--D", "2", "--seed", "0", "--out", str(out)]
             if quick:
-                argv += ["--max-iters", "200", "--mc-samples", "4096"]
+                argv += ["--max-iters", "200"]
             code = cli_main(argv)
             if code != 0:
                 raise SystemExit(f"points generation failed for {kernel} {mode}")

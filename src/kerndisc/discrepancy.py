@@ -6,9 +6,10 @@ For a kernel K on the unit cube and points Y = (y^1..y^N),
 
 (physical form).  For periodic kernels with rho(0) = 1 both integrals
 equal 1, so E^2 = mean of the Gram entries minus 1 (closed form).  For
-the spline kernel the integrals are explicit, and the same quantity can
-be evaluated in spectral variables from the eigenbasis.  The asymptotic
-estimate sqrt(tail_mass(N)/N) comes from the coefficient profile alone.
+the spline and the transported kernels the integrals are explicit; the
+spline error can also be evaluated in spectral variables from the
+eigenbasis.  The asymptotic estimate sqrt(tail_mass(N)/N) comes from the
+coefficient profile alone.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from scipy import special
 
 from . import lattice
-from .kernels import Kernel, PeriodicKernel, SplineKernel, coefficient_profile
+from .kernels import Kernel, PeriodicKernel, SplineKernel, TransportedKernel, coefficient_profile
 from .rkhs import NormParams, PointSet
 from .sampling import MT19937
 
@@ -30,7 +31,6 @@ __all__ = [
     "MonteCarlo",
     "UnsupportedMethodError",
     "check_array_bytes",
-    "sample_blocks",
     "physical_error",
     "periodic_error",
     "periodic_error_sp",
@@ -44,8 +44,6 @@ __all__ = [
 _SAMPLE_BLOCK_PAIRS = 512 * 64
 # the largest array a size-checked allocation may make
 MAX_ARRAY_BYTES = 2**30
-# the held-out MC stream of a MonteCarlo spec has seed ^ _HELD_OUT_XOR
-_HELD_OUT_XOR = 0x5A5A5A5A
 
 
 def check_array_bytes(count: int, itemsize: int, what: str) -> None:
@@ -55,21 +53,18 @@ def check_array_bytes(count: int, itemsize: int, what: str) -> None:
                          f"in one array (limit {MAX_ARRAY_BYTES / 2**30:.0f} GiB)")
 
 
-def sample_blocks(samples: int, n: int) -> list[slice]:
-    """Slices of the sample axis, each of at most _SAMPLE_BLOCK_PAIRS // n
-    samples (at least one), for a pass over ``samples`` MC samples against
-    ``n`` points."""
-    rows = max(1, _SAMPLE_BLOCK_PAIRS // n)
-    return [slice(lo, min(lo + rows, samples)) for lo in range(0, samples, rows)]
-
-
 class UnsupportedMethodError(ValueError):
     """Exact integrals requested for a kernel without closed forms."""
 
 
 @dataclass(frozen=True)
 class MonteCarlo:
-    """Monte-Carlo integral settings: shared-sample estimator with a seed."""
+    """Monte-Carlo integral settings: shared-sample estimator with a seed.
+
+    The random tables of the transported kernels use it: it is the
+    paper's random strategy, an estimate with a standard error.  Their
+    exact integrals are ``physical_error(..., "exact")``.
+    """
 
     samples: int = 2**16
     seed: int = 0
@@ -77,23 +72,6 @@ class MonteCarlo:
     def __post_init__(self):
         if self.samples < 2:
             raise ValueError("samples must be >= 2")
-
-    def draw(self, dim: int, sets: int) -> list[np.ndarray]:
-        """The first ``sets`` sample sets a, b, ..., each (samples, dim),
-        one after another from MT19937(seed); a is the same whatever
-        ``sets`` is."""
-        check_array_bytes(self.samples * dim, 8, f"{self.samples} MC samples at D={dim}")
-        gen = MT19937(self.seed)
-        return [gen.random(self.samples * dim).reshape(self.samples, dim)
-                for _ in range(sets)]
-
-    def held_out(self) -> "MonteCarlo":
-        """The same size on an independent stream, seed ^ 0x5A5A5A5A.
-
-        Scores a point set that was optimized on this stream's samples;
-        on the same samples the estimate is biased low.
-        """
-        return MonteCarlo(self.samples, self.seed ^ _HELD_OUT_XOR)
 
 
 @dataclass(frozen=True)
@@ -145,12 +123,12 @@ def physical_error(kernel: Kernel, points: PointSet,
                    integrals: str | MonteCarlo = "exact") -> DiscrepancyReport:
     """E_K from the physical-variable expansion.
 
-    ``integrals="exact"`` needs closed-form kernel integrals, which only
-    the spline kernel has; a periodic kernel's integrals are both 1, and
-    ``periodic_error`` evaluates it.  Pass a MonteCarlo spec for any other
-    kernel on the cube (the transported families): the double integral is
-    averaged over sample pairs and the single integrals share one frozen
-    sample set across all points, so repeated evaluations are smooth in Y.
+    ``integrals="exact"`` takes the kernel's ``integral_single`` and
+    ``integral_double``, which the spline and the transported kernels
+    have; a periodic kernel's integrals are both 1, and ``periodic_error``
+    evaluates it.  A MonteCarlo spec estimates both integrals for any
+    kernel on the cube: the double integral is averaged over sample pairs
+    and the single integrals share one sample set across all points.
     """
     if kernel.dim != points.dim:
         raise ValueError("kernel/point dimension mismatch")
@@ -158,7 +136,7 @@ def physical_error(kernel: Kernel, points: PointSet,
         return _physical_error_mc(kernel, points, integrals)
     if integrals != "exact":
         raise ValueError(f"unknown integral mode {integrals!r}")
-    if isinstance(kernel, SplineKernel):
+    if isinstance(kernel, (SplineKernel, TransportedKernel)):
         singles = kernel.integral_single(points.coords)
         squared = (kernel.integral_double() + kernel.pair_mean(points.coords)
                    - 2.0 * float(singles.mean()))
@@ -166,23 +144,25 @@ def physical_error(kernel: Kernel, points: PointSet,
             squared, "physical", kernel.kernel_id, points.n, points.dim)
     raise UnsupportedMethodError(
         f"no closed-form integrals for kernel {kernel.kernel_id!r}; use periodic_error "
-        "for a periodic kernel and MonteCarlo for the others")
+        "for a periodic kernel, or a MonteCarlo spec")
 
 
 def _physical_error_mc(kernel: Kernel, points: PointSet, mc: MonteCarlo) -> DiscrepancyReport:
-    """The shared-sample estimator: the mean over j of
-    K(a_j, b_j) - (2/N) sum_n K(a_j, y^n), plus the Gram mean.
-
-    Each block of ``sample_blocks`` is mapped (the transport of a tra-*
-    kernel), paired and summed against the point set while it is in
-    cache.  Every sample's term is formed within its own row, so the
-    block size does not change a digit of the result.
+    """The shared-sample estimator: the mean over j of K(a_j, b_j) -
+    (2/N) sum_n K(a_j, y^n), plus the Gram mean; a, then b, each (m, D),
+    from MT19937(seed).  Each block of _SAMPLE_BLOCK_PAIRS // N samples
+    (at least one) is mapped, paired and summed against the point set
+    while it is in cache.  Every sample's term is formed within its own
+    row, so the block size does not change a digit of the result.
     """
-    m, n = mc.samples, points.n
-    a, b = mc.draw(points.dim, 2)
+    m, n, dim = mc.samples, points.n, points.dim
+    check_array_bytes(m * dim, 8, f"{m} MC samples at D={dim}")
+    gen = MT19937(mc.seed)
+    a, b = (gen.random(m * dim).reshape(m, dim) for _ in range(2))
     y = kernel.map_points(points.coords)
     stat = np.empty(m)
-    for blk in sample_blocks(m, n):
+    rows = max(1, _SAMPLE_BLOCK_PAIRS // n)
+    for blk in (slice(lo, lo + rows) for lo in range(0, m, rows)):
         ua = kernel.map_points(a[blk])
         pair_vals = kernel.elementwise_mapped(ua, kernel.map_points(b[blk]))
         row_sums = kernel.kernel_mapped(ua, y).sum(axis=1)

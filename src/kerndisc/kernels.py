@@ -37,6 +37,8 @@ the truncated seed (1 - sqrt(r))_+^D: a convention that mirrors mq.
 
 The seed formulas are written once, in ``_seed``; ``_transported``
 composes them with S, and ``_PERIODIC`` holds the periodic families.
+S maps a uniform x to N(0, 1/2) per coordinate, which gives the tra-*
+kernels exact integrals over the cube (``TransportedKernel``).
 """
 
 from __future__ import annotations
@@ -85,6 +87,9 @@ _FEATURE_DOUBLES = 2**16
 
 # kernel entries per row band of the log-series value-and-gradient pass
 _SERIES_BAND_DOUBLES = 2**20
+
+# _gamma_rule's largest step in log s, and its relative weight floor
+_GAMMA_STEP, _GAMMA_FLOOR = 0.17, 1e-20
 
 
 def erfinv(u):
@@ -146,9 +151,9 @@ class TransportMap:
         return s
 
     @staticmethod
-    def prime_mapped(u: np.ndarray) -> np.ndarray:
-        """dS/dx = sqrt(pi) * exp(u^2) at the x whose image is u = S(x)."""
-        return math.sqrt(math.pi) * np.exp(u * u)
+    def inverse(u: np.ndarray) -> np.ndarray:
+        """x = ndtr(sqrt(2) u), the inverse of ``apply`` on [eps, 1 - eps]."""
+        return special.ndtr(math.sqrt(2.0) * np.asarray(u, dtype=float))
 
 
 def _check(family: str, dim: int) -> None:
@@ -385,6 +390,10 @@ class _Exponential(_Radial):
         dist *= -self.rate * c
         return np.exp(dist, out=dist)
 
+    def mixture(self, c):
+        """(t, w) with phi(c r) = sum_j w_j e^{-t_j r}, one term."""
+        return np.array([self.rate * c]), np.ones(1)
+
 
 class _Rational(_Radial):
     """(1 + c r)^(-a)."""
@@ -402,6 +411,30 @@ class _Rational(_Radial):
         dist *= c
         dist += 1.0
         return np.divide(kmat, dist, out=kmat)
+
+    def mixture(self, c):
+        """(t, w) with phi(c r) = sum_j w_j e^{-t_j r}: (1 + x)^{-a} is
+        E e^{-s x} over s ~ Gamma(a, 1)."""
+        s, w = _gamma_rule(self.a)
+        return c * s, w.copy()  # the cached rule stays unchanged
+
+
+@lru_cache(maxsize=None)
+def _gamma_rule(a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes s_j and weights w_j, summing to 1, with sum_j w_j f(s_j) = E f(s)
+    over s ~ Gamma(a, 1): the trapezoid rule in y = log(s / a), density
+    ~ exp(a (y - expm1(y))), step h = min(0.17, 0.7 / sqrt(a)).  For f
+    bounded by 1 in |Im y| < 1, as every f of ``TransportedKernel`` is, the
+    error is about exp(-2 pi / h) + exp(-2 pi^2 / (a h^2)) < 1e-16.  Nodes
+    below 1e-20 of the largest weight are dropped and the rest normalized
+    by their sum, so no Gamma(a), infinite from a = 172 on, is formed."""
+    h = min(_GAMMA_STEP, 0.7 / math.sqrt(a))
+    # the left tail e^{a y} and the bulk, of width 1/sqrt(a)
+    reach = math.ceil((50.0 / a + 10.0 / math.sqrt(a) + 5.0) / h)
+    y = h * np.arange(-reach, reach + 1)
+    y = y[a * (y - np.expm1(y)) > math.log(_GAMMA_FLOOR)]
+    w = np.exp(a * (y - np.expm1(y)))
+    return a * np.exp(y), w / w.sum()
 
 
 class _Truncated(_Radial):
@@ -727,7 +760,10 @@ class PeriodicKernel(Kernel):
 
 class TransportedKernel(Kernel):
     """scale * phi(c r), r the distance between S(x) and S(y), on [0,1]^D;
-    ``record`` holds (formula, c, scale, tau, beta), and K(x, x) = scale."""
+    ``record`` holds (formula, c, scale, tau, beta), and K(x, x) = scale.
+    Its integrals are Gaussian means (Briol et al., "Probabilistic
+    integration", Stat. Sci. 2019): erfcx forms for exp, one Gaussian per
+    term of ``formula.mixture`` for the others."""
 
     def __init__(self, family: str, dim: int):
         _check(family, dim)
@@ -771,20 +807,13 @@ class TransportedKernel(Kernel):
         v = u if v is u else np.asarray(v, dtype=float)
         return self.record.phi(self._distances(u, v))
 
-    def grad_sum_mapped(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The row sums sum_j K(u_i, v_j), shape (n,), and
-        sum_j d/du K(u_i, v_j), shape (n, dim), from one kernel matrix.
-
-        Gradient is with respect to the transported coordinate u; chain
-        with TransportMap.prime_mapped(u) for cube-coordinate gradients.
-        The temporaries are (n, len(v)) matrices, so a caller summing
-        over many samples passes them in blocks (``sample_blocks`` in
-        ``discrepancy``) and adds the block results.
-        """
+    def grad_sum_mapped(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The row sums sum_j K(u_i, u_j), shape (n,), and
+        sum_j d/du_i K(u_i, u_j), shape (n, dim), from one kernel matrix;
+        the gradient is in the transported coordinate u."""
         rec, formula = self.record, self.record.formula
         u = np.asarray(u, dtype=float)
-        v = u if v is u else np.asarray(v, dtype=float)
-        dist = self._distances(u, v)
+        dist = self._distances(u, u)
         kmat = rec.phi(dist.copy())
         rows = kmat.sum(axis=1)  # before grad_base may overwrite kmat
         base = formula.grad_base(kmat, dist, rec.c)
@@ -792,14 +821,14 @@ class TransportedKernel(Kernel):
             out = np.empty((u.shape[0], self.dim))
             sgn = dist  # reused as the sign buffer
             for d in range(self.dim):
-                np.subtract.outer(u[:, d], v[:, d], out=sgn)
+                np.subtract.outer(u[:, d], u[:, d], out=sgn)
                 np.sign(sgn, out=sgn)
                 sgn *= base
                 out[:, d] = sgn.sum(axis=1)
         else:
-            # sum_j base_ij (u_i - v_j) = u_i (base 1)_i - (base v)_i
+            # sum_j base_ij (u_i - u_j) = u_i (base 1)_i - (base u)_i
             out = u * base.sum(axis=1)[:, None]
-            out -= base @ v
+            out -= base @ u
         out *= formula.slope * rec.c
         return rows, out
 
@@ -820,6 +849,39 @@ class TransportedKernel(Kernel):
 
     def diagonal(self) -> float:
         return self.record.scale
+
+    def integral_single(self, x: np.ndarray) -> np.ndarray:
+        """int_cube K(x, y) dy for each row x."""
+        return self.integral_single_mapped(self.map_points(x))[0]
+
+    def integral_single_mapped(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """int_cube K(., y) dy at transported rows u, (n,), and its gradient
+        in u, (n, dim); v = S(y) is N(0, 1/2) per coordinate.  exp, per
+        dimension: E e^{-c|u - v|} = p + q, p = e^{-u^2} erfcx(c/2 + |u|)/2,
+        q = e^{c^2/4 - c|u|} erfc(c/2 - |u|)/2, derivative c sign(u) (p - q).
+        The others: E e^{-t|u - v|^2} = (1 + t)^{-D/2} e^{-t|u|^2/(1 + t)}."""
+        rec, formula = self.record, self.record.formula
+        if formula.l1:
+            c = formula.rate * rec.c
+            mag = np.abs(u)
+            p = np.exp(-mag * mag) * special.erfcx(c / 2.0 + mag) / 2.0
+            q = np.exp(c * c / 4.0 - c * mag) * special.erfc(c / 2.0 - mag) / 2.0
+            vals = rec.scale * np.prod(p + q, axis=1)
+            return vals, vals[:, None] * (c * np.sign(u) * (p - q) / (p + q))
+        t, w = formula.mixture(rec.c)
+        b = t / (1.0 + t)
+        terms = w * np.exp(-np.multiply.outer(np.einsum("ij,ij->i", u, u), b)
+                           - self.dim / 2.0 * np.log1p(t))
+        return rec.scale * terms.sum(axis=1), (-2.0 * rec.scale) * u * (terms @ b)[:, None]
+
+    def integral_double(self) -> float:
+        """iint_cube K, S(x) - S(y) being N(0, 1) per coordinate: erfcx(c /
+        sqrt 2)^D for exp, sum_j w_j (1 + 2 t_j)^{-D/2} for the others."""
+        rec, formula = self.record, self.record.formula
+        if formula.l1:
+            return rec.scale * float(special.erfcx(formula.rate * rec.c / math.sqrt(2.0))) ** self.dim
+        t, w = formula.mixture(rec.c)
+        return rec.scale * float(np.sum(w * np.exp(-self.dim / 2.0 * np.log1p(2.0 * t))))
 
 
 class SplineKernel(Kernel):

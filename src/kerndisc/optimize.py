@@ -13,11 +13,13 @@ the log-derivative identity dK/dx_d = K chi'_d / chi_d, with chi'/chi
 built beside chi (both factors are strictly positive but for the one
 zero of trunc at D = 1, which carries the zero subgradient).  Spline
 factors vanish on the boundary, so the spline gradient keeps prefix and
-suffix products.  The annihilation system drives I(Y) = sum_n |sum_m
-exp(2 i pi <y^m, alpha^n>)|^2 to zero over a target set of nonzero
-lattice indices, taking the value and the gradient from one set of
-exponentials per evaluation; its residual I(Y)/N^2 bounds the
-discrepancy head, leaving only the coefficient tail.
+suffix products.  The transported objective is E^2 itself, from the
+exact integrals of ``TransportedKernel`` and the Gram mean, in the
+transported coordinates u = S(x).  The annihilation system drives
+I(Y) = sum_n |sum_m exp(2 i pi <y^m, alpha^n>)|^2 to zero over a target
+set of nonzero lattice indices, taking the value and the gradient from
+one set of exponentials per evaluation; its residual I(Y)/N^2 bounds
+the discrepancy head, leaving only the coefficient tail.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ import numpy as np
 from scipy import optimize as _sciopt
 
 from . import lattice
-from .discrepancy import (DiscrepancyReport, MonteCarlo, check_array_bytes, periodic_error,
-                          physical_error, sample_blocks)
+from .discrepancy import DiscrepancyReport, check_array_bytes, periodic_error, physical_error
 from .kernels import Kernel, PeriodicKernel, SplineKernel, TransportedKernel
 from .lattice import LatticeIndex
 from .rkhs import PointSet
@@ -91,14 +92,17 @@ class DescentTrace:
 
 
 class _Objective:
-    """``fun(y)`` gives the value alone; ``grad(y)`` gives (value,
-    gradient) from one kernel pass.  ``bounds`` is the box of the
-    objective's domain, None for the periodic torus."""
+    """``fun(v)`` gives the value alone; ``grad(v)`` gives (value,
+    gradient) from one kernel pass, in the descent variable v.  ``bounds``
+    is the box of v, None for the periodic torus; ``variable`` maps cube
+    coordinates to v and ``points`` maps v back (default: v = y)."""
 
-    def __init__(self, fun, grad, bounds: _sciopt.Bounds | None):
+    def __init__(self, fun, grad, bounds: _sciopt.Bounds | None, variable=None, points=None):
         self.fun = fun
         self.grad = grad
         self.bounds = bounds
+        self.variable = variable or (lambda y: y)
+        self.points = points or (lambda v: v)
 
 
 def _tensor_pair_grad(n: int, dim: int, factor_fn, prime_fn) -> tuple[float, np.ndarray]:
@@ -174,7 +178,7 @@ def _periodic_objective(kernel: PeriodicKernel, n: int) -> _Objective:
         total, g = value_grad(y)
         return total / (n * n) - 1.0, g / (n * n)
 
-    return _Objective(fun, grad, None)
+    return _Objective(fun, grad, None, points=lambda y: np.mod(y, 1.0))
 
 
 def _spline_objective(kernel: SplineKernel, n: int) -> _Objective:
@@ -215,71 +219,59 @@ def _spline_objective(kernel: SplineKernel, n: int) -> _Objective:
     return _Objective(fun, grad, _sciopt.Bounds(0.0, 1.0))
 
 
-def _transported_objective(kernel: TransportedKernel, n: int, mc: MonteCarlo) -> _Objective:
-    # E^2 = fun + (the double integral), a constant the descent drops; the
-    # single integrals read only the first sample set a, frozen and mapped
-    (a,) = mc.draw(kernel.dim, 1)
-    ua = kernel.map_points(a)
-    m = mc.samples
-    blocks = sample_blocks(m, n)
+def _transported_objective(kernel: TransportedKernel, n: int) -> _Objective:
+    # the descent variable is u = S(x): in x, the chain factor S'(x) = sqrt(pi)
+    # e^{u^2}, 1.8 to 1.3e6 over the box, stalls L-BFGS-B near the faces
+    check_array_bytes(n * n, 8, f"the kernel matrix of {n} points")  # per evaluation
+    double = kernel.integral_double()
+    box = (_BOUNDARY_MARGIN, 1.0 - _BOUNDARY_MARGIN)
 
-    def fun(y: np.ndarray) -> float:
-        u = kernel.transport.apply(y)
-        pair = float(kernel.kernel_mapped(u, u).mean())
-        single = 0.0
-        for blk in blocks:
-            single += float(kernel.kernel_mapped(u, ua[blk]).sum())
-        return pair - 2.0 * single / (n * m)
+    def fun(u: np.ndarray) -> float:
+        return (double + float(kernel.kernel_mapped(u, u).mean())
+                - 2.0 * float(kernel.integral_single_mapped(u)[0].mean()))
 
-    def grad(y: np.ndarray) -> tuple[float, np.ndarray]:
-        u = kernel.transport.apply(y)
-        rows_pair, g_pair = kernel.grad_sum_mapped(u, u)
-        rows_single = np.zeros(n)
-        g_single = np.zeros((n, kernel.dim))
-        for blk in blocks:
-            rows, g = kernel.grad_sum_mapped(u, ua[blk])
-            rows_single += rows
-            g_single += g
-        value = float(rows_pair.sum()) / (n * n) - 2.0 * float(rows_single.sum()) / (n * m)
-        sprime = kernel.transport.prime_mapped(u)
-        return value, (2.0 / (n * n) * g_pair - 2.0 / (n * m) * g_single) * sprime
+    def grad(u: np.ndarray) -> tuple[float, np.ndarray]:
+        rows, g_pair = kernel.grad_sum_mapped(u)
+        singles, g_single = kernel.integral_single_mapped(u)
+        value = double + float(rows.sum()) / (n * n) - 2.0 * float(singles.mean())
+        return value, 2.0 / (n * n) * g_pair - 2.0 / n * g_single
 
-    return _Objective(fun, grad, _sciopt.Bounds(_BOUNDARY_MARGIN, 1.0 - _BOUNDARY_MARGIN))
+    return _Objective(fun, grad, _sciopt.Bounds(*kernel.transport.apply(np.array(box))),
+                      kernel.transport.apply,
+                      lambda u: np.clip(kernel.transport.inverse(u), *box))
 
 
-def build_objective(kernel: Kernel, n: int,
-                    mc: MonteCarlo | None = None) -> _Objective:
+def build_objective(kernel: Kernel, n: int) -> _Objective:
     if isinstance(kernel, PeriodicKernel):
         return _periodic_objective(kernel, n)
     if isinstance(kernel, SplineKernel):
         return _spline_objective(kernel, n)
     if isinstance(kernel, TransportedKernel):
-        return _transported_objective(kernel, n, mc or MonteCarlo())
+        return _transported_objective(kernel, n)
     raise ValueError(f"no descent objective for kernel {kernel.kernel_id!r}")
 
 
 def descend_physical(kernel: Kernel, start: PointSet,
                      config: OptimizerConfig | None = None,
-                     mc: MonteCarlo | None = None,
                      ) -> tuple[PointSet, DiscrepancyReport, DescentTrace]:
     """One L-BFGS-B run on the squared discrepancy from ``start``.
 
     Each evaluation is one call of the objective's fused ``grad``.
     Periodic kernels descend without bounds and the result is wrapped
-    mod 1; spline points stay in [0, 1] and transported points in
-    [_BOUNDARY_MARGIN, 1 - _BOUNDARY_MARGIN].  A non-finite gradient
-    raises FloatingPointError.
+    mod 1; spline points stay in [0, 1]; transported kernels descend in
+    u = S(x), and their points stay in [_BOUNDARY_MARGIN, 1 -
+    _BOUNDARY_MARGIN].  A non-finite gradient raises FloatingPointError.
 
-    Returns the improved point set, its discrepancy report (exact for
-    periodic/spline kernels; for transported ones an estimate on the
-    held-out stream ``mc.held_out()``, since the frozen samples the
-    descent minimized score its result too low), and the objective trace.
+    Returns the improved point set, its discrepancy report
+    (``periodic_error`` for a periodic kernel, ``physical_error(...,
+    "exact")`` for the spline and transported ones), and the objective
+    trace.
     """
     config = config or OptimizerConfig()
     if kernel.dim != start.dim:
         raise ValueError("kernel/point dimension mismatch")
     shape = start.coords.shape
-    obj = build_objective(kernel, start.n, mc)
+    obj = build_objective(kernel, start.n)
     trace = DescentTrace()
 
     def value_and_grad(flat: np.ndarray) -> tuple[float, np.ndarray]:
@@ -295,21 +287,16 @@ def descend_physical(kernel: Kernel, start: PointSet,
         trace.objectives.append(float(intermediate_result.fun))
 
     out = _sciopt.minimize(
-        value_and_grad, start.coords.ravel(), jac=True, method="L-BFGS-B",
+        value_and_grad, obj.variable(start.coords).ravel(), jac=True, method="L-BFGS-B",
         bounds=obj.bounds, callback=record,
         options={"maxiter": config.max_iterations, "ftol": _DESCENT_FTOL,
                  "gtol": _DESCENT_GTOL},
     )
     trace.stopped_by = _STOPPED_BY.get(out.status, "stalled")
-    y = out.x.reshape(shape)
-    points = PointSet(np.mod(y, 1.0) if obj.bounds is None else y)
+    points = PointSet(obj.points(out.x.reshape(shape)))
     if isinstance(kernel, PeriodicKernel):
-        report = periodic_error(kernel, points)
-    elif isinstance(kernel, SplineKernel):
-        report = physical_error(kernel, points, "exact")
-    else:
-        report = physical_error(kernel, points, (mc or MonteCarlo()).held_out())
-    return points, report, trace
+        return points, periodic_error(kernel, points), trace
+    return points, physical_error(kernel, points, "exact"), trace
 
 
 # exponential-sum annihilation -------------------------------------------------
@@ -430,12 +417,9 @@ def canonical_grid(resolutions) -> PointSet:
     n_total = math.prod(rs)
     if n_total > 10**7:
         raise ValueError("grid too large (over 1e7 points)")
-    coords = np.empty((n_total, len(rs)))
-    for n in range(n_total):
-        rem = n
-        for d, r in enumerate(rs):
-            coords[n, d] = (rem % r) / r
-            rem //= r
+    # np.indices over the reversed radices varies the last axis fastest,
+    # so reversing back puts n_0 first, the fastest digit of n
+    coords = np.indices(rs[::-1]).reshape(len(rs), -1)[::-1].T / np.array(rs, dtype=float)
     return PointSet(coords)
 
 
@@ -471,21 +455,19 @@ def _cond1_targets_for(kernel: PeriodicKernel, n: int) -> Cond1Problem:
 
 def optimize_points(kernel: Kernel, n: int, seed: int,
                     config: OptimizerConfig | None = None,
-                    mc: MonteCarlo | None = None,
                     ) -> tuple[PointSet, DiscrepancyReport, dict]:
     """The full optimized-points pipeline for one table cell.
 
     Random start, L-BFGS-B descent, then (periodic kernels) refinement by
     the annihilation system over the N largest nonzero-coefficient
-    indices, keeping whichever point set scores better.  The transported
-    Gaussian kernel, whose descent landscape is nearly flat, additionally
-    tries the annihilation solution of the matching periodic Gaussian as
-    an alternative start.
+    indices, keeping whichever point set scores better.  The report is
+    exact for every kernel: ``periodic_error`` or ``physical_error(...,
+    "exact")``.
     """
     config = config or OptimizerConfig()
     start = uniform_points(seed, n, kernel.dim)
     info: dict = {"seed": seed}
-    points, report, trace = descend_physical(kernel, start, config, mc)
+    points, report, trace = descend_physical(kernel, start, config)
     info["descent_iterations"] = trace.iterations
     info["descent_stopped_by"] = trace.stopped_by
 
@@ -504,21 +486,5 @@ def optimize_points(kernel: Kernel, n: int, seed: int,
         candidate = periodic_error(kernel, refined.points)
         if candidate.value < report.value:
             points, report = refined.points, candidate
-
-    if isinstance(kernel, TransportedKernel) and kernel.family == "gauss" and n > 1:
-        # the nearly-flat landscape can park descent close to the random
-        # start; when progress is poor, seed from the annihilation
-        # solution of the matching periodic kernel (the flat-landscape
-        # workaround) and descend again
-        # scored on the held-out stream, like the descent's report
-        baseline = physical_error(kernel, start, (mc or MonteCarlo()).held_out())
-        if report.value > 0.7 * baseline.value or trace.stopped_by == "stalled":
-            twin = PeriodicKernel("gauss", kernel.dim)
-            problem = _cond1_targets_for(twin, n)
-            seeded = solve_cond1(problem, start, config)
-            cand_pts, cand_rep, _ = descend_physical(kernel, seeded.points, config, mc)
-            if cand_rep.value < report.value:
-                points, report = cand_pts, cand_rep
-                info["used_periodic_seed"] = True
 
     return points, report, info

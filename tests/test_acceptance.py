@@ -308,8 +308,7 @@ def test_criterion_7_property_suites():
     worst_grad = 0.0
     for kid in ("per-exp", "per-mq", "per-gauss", "per-trunc", "spline", "tra-gauss"):
         kernel = kernel_from_id(kid, 2)
-        mc = MonteCarlo(2048, 3) if kid.startswith("tra") else None
-        obj = build_objective(kernel, 10, mc)
+        obj = build_objective(kernel, 10)
         y = 0.05 + 0.9 * rng.random((10, 2))
         _, gvec = obj.grad(y)
         for _ in range(6):
@@ -354,10 +353,9 @@ def test_criterion_8_transported_mc_pipeline():
     ses = np.array([r.metadata["se_squared"] for r in reps])
     pooled = estimates.mean()
     coverage = float(np.mean(np.abs(estimates - pooled) <= 2.0 * ses))
-    # optimize on a lighter frozen sample set, then compare optimized vs
-    # random with the full 2^16-sample estimator the criterion states
-    opt_pts, _, _ = optimize_points(
-        kernel, n, seed, OptimizerConfig(max_iterations=250), MonteCarlo(2**13, 99))
+    # optimize on the exact integrals, then compare optimized vs random
+    # with the full 2^16-sample estimator the criterion states
+    opt_pts, _, _ = optimize_points(kernel, n, seed, OptimizerConfig(max_iterations=250))
     opt_rep = physical_error(kernel, opt_pts, MonteCarlo(2**16, 99))
     base = physical_error(kernel, pts, MonteCarlo(2**16, 99))
     improvement = 1.0 - opt_rep.value / base.value

@@ -238,3 +238,27 @@ def test_oversized_mc_samples_exit_2(capsys):
                         "--D", "16", "--mc-samples", str(2**24), "--threads", "1")
     assert code == 2 and out == ""
     assert "GiB" in capsys.readouterr().err
+
+
+def test_optimized_tra_gauss_reports_exact_e():
+    # the exact integrals resolve the E of an optimized transported cell,
+    # which a 2^16-sample MC estimate could not tell from 0
+    code, out = run_cli("points", "--kernel", "tra-gauss", "--mode", "optimized",
+                        "--N", "32", "--D", "2", "--max-iters", "300")
+    assert code == 0
+    meta = dict(line[2:].split(": ", 1) for line in out.splitlines() if line.startswith("# "))
+    assert meta["method"] == "physical"
+    assert float(meta["E"]) > 0.005
+
+
+@pytest.mark.parametrize("argv", [
+    ["slice", "--kernel", "per-exp", "--D", "1", "--mc-samples", "8"],
+    ["slice", "--kernel", "per-exp", "--D", "1", "--seed", "1"],
+    ["slice", "--kernel", "per-exp", "--D", "1", "--max-iters", "5"],
+    ["points", "--kernel", "tra-gauss", "--N", "4", "--D", "1", "--mc-samples", "8"],
+])
+def test_subcommands_refuse_options_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from kerndisc.discrepancy import (MonteCarlo, UnsupportedMethodError, asymptotic_error,
                                   periodic_error, periodic_error_sp, physical_error,
                                   spectral_error)
-from kerndisc.kernels import (FAMILIES, PeriodicKernel, SplineKernel,
+from kerndisc.kernels import (FAMILIES, PeriodicKernel, SeedKernel, SplineKernel,
                               TransportedKernel, coefficient_profile)
 from kerndisc.lattice import enumerate_decreasing, tail_mass
 from kerndisc.optimize import midpoint_1d
@@ -100,12 +101,59 @@ def test_physical_exact_rejects_periodic():
         physical_error(PeriodicKernel("mq", 2), uniform_points(0, 8, 2), "exact")
 
 
-def test_physical_exact_rejects_transported():
-    k = TransportedKernel("gauss", 2)
+def test_physical_exact_rejects_seed_kernel():
+    # a seed kernel lives on R^D and has no integrals over the cube
     with pytest.raises(UnsupportedMethodError):
-        physical_error(k, uniform_points(0, 8, 2), "exact")
+        physical_error(SeedKernel("gauss", 2), uniform_points(0, 8, 2), "exact")
     with pytest.raises(ValueError):
-        physical_error(k, uniform_points(0, 8, 2), "bogus-mode")
+        physical_error(TransportedKernel("gauss", 2), uniform_points(0, 8, 2), "bogus-mode")
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_transported_gauss_exact_matches_closed_form(dim):
+    # S(x) = erfinv(2x - 1) maps a uniform x to N(0, 1/2), so the tra-gauss
+    # integrals are Gaussian: written here from (tau, beta) alone, with the
+    # Gram mean summed pair by pair
+    k = TransportedKernel("gauss", dim)
+    pts = uniform_points(7, 16, dim)
+    tau2, beta = k.record.tau**2, k.record.beta
+    u = special.erfinv(2.0 * pts.coords - 1.0)
+    sq = ((u[:, None, :] - u[None, :, :]) ** 2).sum(axis=2)
+    single = beta * np.prod((1.0 + tau2) ** -0.5 * np.exp(-tau2 * u * u / (1.0 + tau2)), axis=1)
+    double = beta * (1.0 + 2.0 * tau2) ** (-dim / 2.0)
+    closed = double + beta * float(np.exp(-tau2 * sq).mean()) - 2.0 * float(single.mean())
+    assert k.integral_single(pts.coords) == pytest.approx(single, rel=1e-12)
+    assert k.integral_double() == pytest.approx(double, rel=1e-14)
+    rep = physical_error(k, pts, "exact")
+    assert rep.method == "physical"
+    assert rep.squared_value == pytest.approx(closed, rel=1e-11)
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_transported_exact_agrees_with_mc(fam):
+    for dim in (1, 3, 16, 128):
+        k = TransportedKernel(fam, dim)
+        pts = uniform_points(50 + dim, 16, dim)
+        exact = physical_error(k, pts, "exact")
+        mc = physical_error(k, pts, MonteCarlo(2**14, dim))
+        assert abs(mc.squared_value - exact.squared_value) < 5 * mc.metadata["se_squared"], dim
+
+
+@pytest.mark.parametrize("fam,dim", [("trunc", 200), ("mq", 400)])
+def test_transported_integrals_finite_in_high_dimension(fam, dim):
+    # the Gamma(a) mixture of tra-trunc (a = D) and tra-mq (a = (D+1)/2)
+    # forms no Gamma(a), which overflows past a = 171
+    k = TransportedKernel(fam, dim)
+    pts = uniform_points(3, 16, dim)
+    singles = k.integral_single(pts.coords)
+    assert np.all(np.isfinite(singles)) and np.all(singles >= 0)
+    assert 0 < k.integral_double() < k.diagonal()
+    exact = physical_error(k, pts, "exact")
+    mc = physical_error(k, pts, MonteCarlo(2**12, 5))
+    # every term of both is far below the Gram diagonal, so the estimator's
+    # standard error can be exactly 0; then they agree to rounding
+    assert abs(mc.squared_value - exact.squared_value) <= (
+        5 * mc.metadata["se_squared"] + 1e-15 * exact.squared_value)
 
 
 def test_spectral_midpoints_even_coefficients_vanish():

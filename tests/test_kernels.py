@@ -11,6 +11,7 @@ from kerndisc.kernels import (FAMILIES, PeriodicKernel, SeedKernel, SplineKernel
                               TransportedKernel, TransportMap, coefficient_profile, erfinv,
                               fourier_coefficient, kernel_from_id, pseudo_distance, theta3)
 from kerndisc.lattice import LatticeIndex
+from kerndisc.sampling import uniform_points
 
 ALL_IDS = [f"{loc}-{fam}" for loc in ("seed", "per", "tra") for fam in FAMILIES]
 CUBE_IDS = [f"{loc}-{fam}" for loc in ("per", "tra") for fam in FAMILIES]
@@ -106,12 +107,12 @@ def test_transport_map_matches_mpmath():
     assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref)), np.abs(got / ref - 1)
 
 
-def test_transport_map_prime_matches_fd():
+def test_transport_map_inverse_round_trip():
+    # the descent maps its transported points back to the cube by inverse
     tm = TransportMap(1)
-    x = np.array([[0.2], [0.5], [0.9]])
-    h = 1e-7
-    fd = (tm.apply(x + h) - tm.apply(x - h)) / (2 * h)
-    assert np.allclose(tm.prime_mapped(tm.apply(x)), fd, rtol=1e-5)
+    x = np.array([[1e-12], [1e-7], [1e-3], [0.2], [0.5], [0.9], [1 - 1e-7]])
+    assert np.allclose(tm.inverse(tm.apply(x)), x, rtol=1e-13, atol=0.0)
+    assert np.array_equal(tm.inverse(np.zeros((1, 1))), [[0.5]])
 
 
 # --- seed kernels ---------------------------------------------------------
@@ -492,6 +493,76 @@ def test_transported_boundary_clamp():
     near = k.pairwise(np.array([[1e-13]]), np.array([[0.5]]))[0, 0]
     assert math.isfinite(edge) and edge >= 0
     assert abs(edge - near) < 1e-10
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_transported_integrals_match_quad_at_d1(fam):
+    # at D = 1 the single integral is a plain quadrature over y in (0, 1),
+    # which shares nothing with the closed forms but the kernel's values;
+    # the double integral is one over w = S(x) - S(y) ~ N(0, 1)
+    from scipy import stats
+
+    k = TransportedKernel(fam, 1)
+    xs = [1e-6, 0.02, 0.3, 0.5, 0.85, 0.999]
+    ref = [integrate.quad(lambda y: k(x, y), 0.0, 1.0, points=[x], limit=500,
+                          epsabs=0.0, epsrel=1e-13)[0] for x in xs]
+    assert k.integral_single(np.array(xs)[:, None]) == pytest.approx(ref, rel=1e-10)
+    dist = abs if k.record.formula.l1 else np.square
+    ref = integrate.quad(lambda w: k.record.phi(np.array([dist(w)]))[0] * stats.norm.pdf(w),
+                         -np.inf, np.inf, limit=500, epsabs=0.0, epsrel=1e-13)[0]
+    assert k.integral_double() == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("fam", ("mq", "gauss", "trunc"))
+@pytest.mark.parametrize("dim", [3, 8])
+def test_transported_integrals_match_chi_square_quadrature(fam, dim):
+    # with v = S(y) ~ N(0, I/2), 2|u - v|^2 is noncentral chi-square with
+    # noncentrality 2|u|^2, and |S(x) - S(y)|^2 is chi-square: one 1-D
+    # quadrature of the radial formula each, free of the Gamma mixture
+    from scipy import stats
+
+    k = TransportedKernel(fam, dim)
+    u = k.map_points(uniform_points(dim, 5, dim).coords)
+    u[0] *= 0.0
+    u[1, 0] = -3.6  # S(1e-7), where the descent's box ends
+
+    def phi(r):
+        return k.record.phi(np.array([r]))[0]
+
+    for row, value in zip(u, k.integral_single_mapped(u)[0]):
+        nc = 2.0 * float(row @ row)
+        ref = integrate.quad(lambda rho: phi(rho / 2.0) * stats.ncx2.pdf(rho, dim, nc),
+                             0.0, np.inf, limit=500, epsabs=0.0, epsrel=1e-12)[0]
+        assert value == pytest.approx(ref, rel=1e-9, abs=1e-15 * k.diagonal())
+    ref = integrate.quad(lambda rho: phi(rho) * stats.chi2.pdf(rho, dim),
+                         0.0, np.inf, limit=500, epsabs=0.0, epsrel=1e-12)[0]
+    assert k.integral_double() == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+@pytest.mark.parametrize("dim", [1, 3])
+def test_transported_integral_gradient_matches_fd(fam, dim):
+    k = TransportedKernel(fam, dim)
+    u = k.map_points(uniform_points(11, 6, dim).coords)
+    _, grad = k.integral_single_mapped(u)
+    h = 1e-6
+    for d in range(dim):
+        step = np.zeros_like(u)
+        step[:, d] = h
+        fd = (k.integral_single_mapped(u + step)[0] - k.integral_single_mapped(u - step)[0]) / (2 * h)
+        assert grad[:, d] == pytest.approx(fd, rel=1e-6, abs=1e-10)
+
+
+@pytest.mark.parametrize("a", [1.0, 1.5, 64.0, 200.0, 500.0])
+def test_gamma_rule_is_normalized_with_gamma_moments(a):
+    # s ~ Gamma(a, 1) has mean a and variance a; Gamma(a) itself is
+    # infinite in double precision from a = 172 on
+    s, w = kernels._gamma_rule(a)
+    assert np.all(np.isfinite(w)) and np.all(w > 0)
+    assert w.sum() == pytest.approx(1.0, abs=1e-14)
+    mean = float(w @ s)
+    assert mean == pytest.approx(a, rel=1e-13)
+    assert float(w @ (s - mean) ** 2) == pytest.approx(a, rel=1e-12)
 
 
 # --- spline kernel ----------------------------------------------------------

@@ -120,15 +120,16 @@ def test_spline_gradient_matches_fd():
 
 @pytest.mark.parametrize("fam", FAMILIES)
 def test_transported_gradient_matches_fd(fam):
-    # N = 64 at 2^14 samples spans many sample blocks (512 samples each)
-    for n, mc in ((8, MonteCarlo(2048, 3)), (64, MonteCarlo(2**14, 3))):
-        obj = build_objective(TransportedKernel(fam, 2), n, mc)
+    # the transported descent variable is u = S(x)
+    for n, dim in ((8, 2), (64, 2), (12, 5)):
+        k = TransportedKernel(fam, dim)
+        obj = build_objective(k, n)
         rng = np.random.default_rng(17)
-        y = 0.1 + 0.8 * rng.random((n, 2))
-        _, g = obj.grad(y)
+        u = k.map_points(rng.random((n, dim)))
+        _, g = obj.grad(u)
         for _ in range(8):
-            i, d = rng.integers(n), rng.integers(2)
-            fd = central_difference(obj.fun, y, i, d)
+            i, d = rng.integers(n), rng.integers(dim)
+            fd = central_difference(obj.fun, u, i, d)
             assert g[i, d] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
@@ -180,12 +181,10 @@ FUSED_CASES = ([(f"per-{fam}", dim, n) for fam in FAMILIES for dim in (1, 2, 8)
 @pytest.mark.parametrize("kernel_id,dim,n", FUSED_CASES)
 def test_fused_value_matches_fun(kernel_id, dim, n):
     # grad sums whole Gram column blocks of its gradient pass (transported:
-    # the row sums of the gradient's kernel matrices); fun sums the 128 x
-    # 128 tiles of pair_mean on or above the diagonal (transported: the
-    # kernel_mapped matrices).  N = 130 crosses the tile edge; tra at
-    # N = 64 reads 2^14 samples, which span many sample blocks.
-    mc = MonteCarlo(2**14 if n == 64 else 2048, 3)
-    obj = build_objective(kernel_from_id(kernel_id, dim), n, mc)
+    # the row sums of the gradient's kernel matrix); fun sums the 128 x 128
+    # tiles of pair_mean on or above the diagonal.  N = 130 crosses the
+    # tile edge.
+    obj = build_objective(kernel_from_id(kernel_id, dim), n)
     y = uniform_points(1000 * dim + n, n, dim).coords
     value, _ = obj.grad(y)
     # periodic fun is the Gram mean minus 1: compare the means, since
@@ -199,8 +198,7 @@ def test_descent_stays_in_domain():
     # edge coordinates start outside the transported box and are moved in
     start = uniform_points(3, 16, 2).coords.copy()
     start[0], start[1] = 0.0, 1.0
-    pts, _, _ = descend_physical(TransportedKernel("gauss", 2), PointSet(start), cfg,
-                                 MonteCarlo(2048, 3))
+    pts, _, _ = descend_physical(TransportedKernel("gauss", 2), PointSet(start), cfg)
     assert pts.coords.min() >= 1e-7 and pts.coords.max() <= 1.0 - 1e-7
     # this spline descent ends on both faces of the cube
     pts, _, _ = descend_physical(SplineKernel(2), uniform_points(3, 16, 2), cfg)
@@ -232,6 +230,11 @@ def test_optimizer_config_validation():
 
 def test_canonical_grid_construction():
     assert np.allclose(np.sort(canonical_grid([4]).coords[:, 0]), [0.0, 0.25, 0.5, 0.75])
+    # row n holds the mixed-radix digits of n, the first digit fastest
+    rs = [3, 4, 2]
+    digits = [[(n // math.prod(rs[:d])) % r / r for d, r in enumerate(rs)]
+              for n in range(math.prod(rs))]
+    assert np.array_equal(canonical_grid(rs).coords, np.array(digits))
     g22 = canonical_grid([2, 2])
     assert sorted(map(tuple, g22.coords.tolist())) == [
         (0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)]
@@ -316,26 +319,27 @@ def test_optimize_points_exponential_1d_rate():
 
 def test_transported_descent_improves():
     k = TransportedKernel("mq", 2)
-    mc = MonteCarlo(samples=4096, seed=77)
     start = uniform_points(9, 16, 2)
-    pts, rep, trace = descend_physical(k, start, OptimizerConfig(max_iterations=300), mc)
-    base = physical_error(k, start, mc)
+    pts, rep, trace = descend_physical(k, start, OptimizerConfig(max_iterations=300))
+    base = physical_error(k, start, "exact")
     assert rep.value < base.value
     assert np.all((pts.coords >= 0) & (pts.coords <= 1))
 
 
-def test_transported_report_scores_held_out_stream():
-    # on the frozen samples it minimized, the descent's own estimate of
-    # E^2 is biased low and here negative (-0.0070); the report comes from
-    # the independent stream seed ^ 0x5A5A5A5A
-    k = TransportedKernel("gauss", 2)
-    mc = MonteCarlo(4096, 7)
-    pts, rep, _ = descend_physical(k, uniform_points(5, 16, 2),
-                                   OptimizerConfig(max_iterations=300), mc)
-    assert physical_error(k, pts, mc).squared_value < 0
-    assert rep.metadata["mc_seed"] == 7 ^ 0x5A5A5A5A
-    held_out = physical_error(k, pts, MonteCarlo(4096, 7 ^ 0x5A5A5A5A))
-    assert rep.squared_value == held_out.squared_value
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_transported_report_is_exact(fam):
+    # the descent minimizes E^2 itself and reports its exact value, which
+    # the last objective value and an MC estimate on the returned points
+    # both confirm
+    k = TransportedKernel(fam, 2)
+    pts, rep, trace = descend_physical(k, uniform_points(5, 16, 2),
+                                       OptimizerConfig(max_iterations=300))
+    assert rep.method == "physical"
+    assert rep.squared_value == physical_error(k, pts, "exact").squared_value
+    assert rep.squared_value == pytest.approx(trace.objectives[-1], rel=1e-9)
+    assert rep.squared_value > 0
+    mc = physical_error(k, pts, MonteCarlo(2**16, 7))
+    assert abs(mc.squared_value - rep.squared_value) < 5 * mc.metadata["se_squared"]
 
 
 def test_size_guards_refuse_before_allocating(capsys):
@@ -346,8 +350,9 @@ def test_size_guards_refuse_before_allocating(capsys):
         cond1_functional(prob, y)
     with pytest.raises(ValueError, match="GiB"):
         cond1_gradient(prob, y)
+    # 2^15 transported points: an 8 GiB kernel matrix per evaluation
     with pytest.raises(ValueError, match="GiB"):
-        build_objective(TransportedKernel("gauss", 16), 8, MonteCarlo(2**24, 0))
+        build_objective(TransportedKernel("gauss", 16), 2**15)
     # 2^21 points x 52 per-gauss D = 1 series terms: 1.6 GiB of complex
     # features, refused before the descent starts, and by the CLI with exit 2
     with pytest.raises(ValueError, match="GiB"):
@@ -362,8 +367,8 @@ def test_descent_aborts_on_nonfinite_gradient(monkeypatch):
 
     real = op.build_objective
 
-    def poisoned(kernel, n, mc=None):
-        obj = real(kernel, n, mc)
+    def poisoned(kernel, n):
+        obj = real(kernel, n)
         obj.grad = lambda y: (0.0, np.full_like(y, np.nan))
         return obj
 
