@@ -343,11 +343,10 @@ class _PerTrunc(_PeriodicFamily):
         return h
 
     def logderiv_block(self, h, sign):
-        # chi' = -tau^2 sign(t) (1{h < 1} - 1{h > tau - 1}), before block
-        # overwrites h
-        prime = (h > self.tau - 1.0).astype(float)
-        prime -= h < 1.0
-        prime *= sign
+        # chi' = -tau^2 sign(t) (1{h < 1} - 1{h > tau - 1}), in place of
+        # sign and before block overwrites h (byte-sized temporaries only)
+        prime = sign
+        prime *= (h > self.tau - 1.0).view(np.int8) - (h < 1.0).view(np.int8)
         prime *= self.tau * self.tau
         chi = self.block(h)
         return chi, np.divide(prime, chi, out=prime, where=chi > 0.0)
@@ -480,6 +479,14 @@ def _transported(dim: int) -> dict:
 
 # kernel classes -------------------------------------------------------------
 
+def _upper_tiles(n: int):
+    """(rows, cols) of the ``_GRAM_TILE`` tiles on or above the diagonal."""
+    tiles = [slice(lo, min(lo + _GRAM_TILE, n)) for lo in range(0, n, _GRAM_TILE)]
+    for i, rows in enumerate(tiles):
+        for cols in tiles[i:]:
+            yield rows, cols
+
+
 class Kernel:
     """Symmetric positive(-semi)definite kernel on its domain."""
 
@@ -521,14 +528,11 @@ class Kernel:
         and with it every digit of the result, depends on N alone.
         Temporaries stay O(tile^2 + N D).
         """
-        n = coords.shape[0]
         setup = self.gram_setup(coords)
-        tiles = [slice(lo, min(lo + _GRAM_TILE, n)) for lo in range(0, n, _GRAM_TILE)]
         total = 0.0
-        for i, rows in enumerate(tiles):
-            total += float(self.gram_block(setup, rows, rows).sum())
-            for cols in tiles[i + 1:]:
-                total += 2.0 * float(self.gram_block(setup, rows, cols).sum())
+        for rows, cols in _upper_tiles(coords.shape[0]):
+            tile_sum = float(self.gram_block(setup, rows, cols).sum())
+            total += tile_sum if rows == cols else 2.0 * tile_sum
         return total
 
     def gram_setup(self, coords: np.ndarray):
@@ -588,8 +592,10 @@ class PeriodicKernel(Kernel):
     """Tensor-product periodic kernel on [0,1]^D, normalized to rho(0)=1.
 
     The closed-form factors and their exact Fourier profiles are listed
-    in the module docstring; ``record`` holds the family's formulas.
-    The diagonal equals T^D <= e.
+    in the module docstring; ``record`` holds the family's formulas and
+    its route for ``_gram_sum`` and ``gram_sum_grad``: log-series
+    features (mq, gauss) or factor tiles (exp, trunc).  The diagonal
+    equals T^D <= e.
     """
 
     def __init__(self, family: str, dim: int):
@@ -658,11 +664,46 @@ class PeriodicKernel(Kernel):
         return out
 
     def _gram_sum(self, coords: np.ndarray) -> float:
-        """The tile sum of ``Kernel._gram_sum``, or the log-series sum when
-        the record carries a ``log_series``."""
-        if self.record.log_series is None:
-            return super()._gram_sum(coords)
-        return self._log_series_sum(coords)
+        """The log-series sum for mq and gauss, the tile sum for exp and trunc."""
+        if self.record.log_series is not None:
+            return self._log_series_sum(coords)
+        return super()._gram_sum(coords)
+
+    def gram_sum_grad(self, coords: np.ndarray) -> tuple[float, np.ndarray]:
+        """The Gram sum and its (N, D) gradient in the points, by the route
+        of ``_gram_sum``: ``log_series_value_grad`` for mq and gauss.
+
+        exp and trunc: the tiles of ``Kernel._gram_sum``, each the product
+        of the ``factor_logderiv_block`` factors in ascending d as in
+        ``gram_block`` (so the sum is bit-equal), and dK/dx_d = K chi'_d /
+        chi_d.  Rows get 2 sum_cols K chi'/chi; chi'/chi is odd, so the
+        columns of an off-diagonal tile get -2 sum_rows, and it is exactly
+        0 at t = 0.  Memory: D chi'/chi tiles, D min(N, 128)^2 doubles.
+        """
+        if self.record.log_series is not None:
+            return self.log_series_value_grad(coords)
+        setup = self.gram_setup(coords)
+        grad = np.zeros(coords.shape)
+        total = 0.0
+        for rows, cols in _upper_tiles(coords.shape[0]):
+            ratios = [None] * self.dim
+            gram, ratios[0] = self.factor_logderiv_block(setup, 0, rows, cols)
+            for d in range(1, self.dim):
+                chi, ratios[d] = self.factor_logderiv_block(setup, d, rows, cols)
+                gram *= chi
+                del chi  # not held through the next block
+            if rows == cols:
+                total += float(gram.sum())
+                for d, ratio in enumerate(ratios):
+                    grad[rows, d] += 2.0 * np.einsum("ij,ij->i", gram, ratio)
+            else:
+                total += 2.0 * float(gram.sum())
+                for d, ratio in enumerate(ratios):
+                    ratio *= gram
+                    grad[rows, d] += 2.0 * ratio.sum(axis=1)
+                    grad[cols, d] -= 2.0 * ratio.sum(axis=0)
+            del gram, ratios, ratio  # the next tile's blocks start from nothing
+        return total, grad
 
     def _log_series_sum(self, coords: np.ndarray) -> float:
         """Sum of K(x, y) = exp(c_0 + L(x) . R(y)) over the Gram matrix.

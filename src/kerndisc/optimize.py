@@ -4,22 +4,16 @@ annihilation system, canonical grids, and the 1-D closed form.
 Descent minimizes the squared discrepancy directly (for periodic kernels
 the constant integral terms drop, leaving the mean of the Gram matrix)
 with SciPy's L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995).  Each evaluation is
-one kernel pass that yields the value and the gradient together, by one
-route per periodic family.  mq and gauss take both from the log-series
-features of their Gram mean (``PeriodicKernel.log_series_value_grad``).
-exp and trunc run over blocks of Gram columns: the Gram block K is the
-running product of the factor blocks chi_d, and the gradient comes from
-the log-derivative identity dK/dx_d = K chi'_d / chi_d, with chi'/chi
-built beside chi (both factors are strictly positive but for the one
-zero of trunc at D = 1, which carries the zero subgradient).  Spline
-factors vanish on the boundary, so the spline gradient keeps prefix and
-suffix products.  The transported objective is E^2 itself, from the
-exact integrals of ``TransportedKernel`` and the Gram mean, in the
-transported coordinates u = S(x).  The annihilation system drives
-I(Y) = sum_n |sum_m exp(2 i pi <y^m, alpha^n>)|^2 to zero over a target
-set of nonzero lattice indices, taking the value and the gradient from
-one set of exponentials per evaluation; its residual I(Y)/N^2 bounds
-the discrepancy head, leaving only the coefficient tail.
+one kernel pass that yields the value and the gradient together: for a
+periodic kernel, ``PeriodicKernel.gram_sum_grad``, which picks the
+family's route.  Spline factors vanish on the boundary, so the spline
+gradient keeps prefix and suffix products.  The transported objective is
+E^2 itself, from the exact integrals of ``TransportedKernel`` and the
+Gram mean, in the transported coordinates u = S(x).  The annihilation
+system drives I(Y) = sum_n |sum_m exp(2 i pi <y^m, alpha^n>)|^2 to zero
+over a target set of nonzero lattice indices, taking the value and the
+gradient from one set of exponentials per evaluation; its residual
+I(Y)/N^2 bounds the discrepancy head, leaving only the coefficient tail.
 """
 
 from __future__ import annotations
@@ -32,7 +26,7 @@ from scipy import optimize as _sciopt
 
 from . import lattice
 from .discrepancy import DiscrepancyReport, check_array_bytes, periodic_error, physical_error
-from .kernels import Kernel, PeriodicKernel, SplineKernel, TransportedKernel
+from .kernels import _GRAM_TILE, Kernel, PeriodicKernel, SplineKernel, TransportedKernel
 from .lattice import LatticeIndex
 from .rkhs import PointSet
 from .sampling import uniform_points
@@ -58,9 +52,6 @@ _DESCENT_FTOL = 1e-15
 _DESCENT_GTOL = 1e-12
 # L-BFGS-B exit status -> DescentTrace.stopped_by; any other status is "stalled"
 _STOPPED_BY = {0: "converged", 1: "max_iterations"}
-# doubles held by the D log-derivative blocks of one column block of the
-# periodic gradient pass (32 MB)
-_LOGDERIV_DOUBLES = 1 << 22
 
 
 @dataclass
@@ -141,41 +132,19 @@ def _tensor_pair_grad(n: int, dim: int, factor_fn, prime_fn) -> tuple[float, np.
 
 
 def _periodic_objective(kernel: PeriodicKernel, n: int) -> _Objective:
-    every = slice(None)
-    dim = kernel.dim
-    block = max(1, min(n, _LOGDERIV_DOUBLES // (dim * n)))
+    series, what = kernel.record.log_series, f"of {n} points at D={kernel.dim}"
+    # refused up front: the series pass's N x D x K complex features, or
+    # the D chi'/chi tiles that the tile pass holds at once
+    if series is not None:
+        check_array_bytes(n * kernel.dim * len(series[1]), 16, f"the log-series features {what}")
+    else:
+        check_array_bytes(kernel.dim * min(n, _GRAM_TILE) ** 2, 8, f"the chi'/chi tiles {what}")
 
     def fun(y: np.ndarray) -> float:
         return kernel.pair_mean(y) - 1.0
 
-    def tile_value_grad(y: np.ndarray) -> tuple[float, np.ndarray]:
-        # log-derivative pass: dK/dx_d = K chi'_d / chi_d over a column
-        # block, with K the running product of the factor blocks.  The
-        # diagonal pair needs no mask: chi'/chi is exactly 0 at t = 0.
-        setup = kernel.gram_setup(y)
-        total = 0.0
-        g = np.zeros((n, dim))
-        for lo in range(0, n, block):
-            cols = slice(lo, min(lo + block, n))
-            ratios = [None] * dim
-            gram, ratios[-1] = kernel.factor_logderiv_block(setup, dim - 1, every, cols)
-            for d in range(dim - 2, -1, -1):
-                chi, ratios[d] = kernel.factor_logderiv_block(setup, d, every, cols)
-                gram *= chi
-            total += float(gram.sum())
-            for d, ratio in enumerate(ratios):
-                g[:, d] += 2.0 * np.einsum("ij,ij->i", gram, ratio)
-        return total, g
-
-    value_grad = tile_value_grad
-    if kernel.record.log_series is not None:
-        # the series pass's N x D x K complex features, refused up front
-        check_array_bytes(n * dim * len(kernel.record.log_series[1]), 16,
-                          f"the log-series features of {n} points at D={dim}")
-        value_grad = kernel.log_series_value_grad
-
     def grad(y: np.ndarray) -> tuple[float, np.ndarray]:
-        total, g = value_grad(y)
+        total, g = kernel.gram_sum_grad(y)
         return total / (n * n) - 1.0, g / (n * n)
 
     return _Objective(fun, grad, None, points=lambda y: np.mod(y, 1.0))
@@ -199,19 +168,15 @@ def _spline_objective(kernel: SplineKernel, n: int) -> _Objective:
 
         total, g = _tensor_pair_grad(n, kernel.dim, factor_fn, prime_fn)
         g /= n * n
-        # diagonal Gram entries prod (y - y^2) and the single integrals
-        # prod y(1-y)/2 both depend on y
-        for d in range(kernel.dim):
-            others_diag = np.ones(y.shape[0])
-            others_int = np.ones(y.shape[0])
-            for e in range(kernel.dim):
-                if e == d:
-                    continue
-                others_diag *= y[:, e] - y[:, e] ** 2
-                others_int *= y[:, e] * (1.0 - y[:, e]) / 2.0
-            deriv = 1.0 - 2.0 * y[:, d]
-            g[:, d] += deriv * others_diag / (n * n)
-            g[:, d] -= (2.0 / n) * (deriv / 2.0) * others_int
+        # the diagonal Gram entries prod (y - y^2) and the single integrals
+        # prod y(1-y)/2 both depend on y, through the same leave-one-out
+        # products prod_{e != d} (y_e - y_e^2): prefix times suffix
+        # products, as a factor may be 0 on the faces
+        base = y - y * y
+        others = np.ones_like(y)
+        others[:, 1:] = np.cumprod(base[:, :-1], axis=1)
+        others[:, :-1] *= np.cumprod(base[:, :0:-1], axis=1)[:, ::-1]
+        g += (1.0 - 2.0 * y) * others * (1.0 / (n * n) - 0.5 ** (kernel.dim - 1) / n)
         value = (kernel.integral_double() + total / (n * n)
                  - 2.0 * float(kernel.integral_single(y).mean()))
         return value, g
@@ -338,15 +303,11 @@ class Cond1Result:
     converged: bool = False
 
 
-def _check_cond1_size(problem: Cond1Problem, y: np.ndarray) -> None:
+def _cond1_terms(problem: Cond1Problem, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (points, targets) exponentials e and their sums s over the points."""
     # the (points, targets) complex arrays of the sums and the gradient
     check_array_bytes(y.shape[0] * problem.targets.shape[0], 16,
                       f"{y.shape[0]} points x {problem.targets.shape[0]} cond1 targets")
-
-
-def _cond1_terms(problem: Cond1Problem, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (points, targets) exponentials e and their sums s over the points."""
-    _check_cond1_size(problem, y)
     phases = 2.0 * math.pi * (y @ problem.targets.T)
     e = np.exp(1j * phases)
     return e, e.sum(axis=0)
@@ -405,6 +366,19 @@ def solve_cond1(problem: Cond1Problem, start: PointSet,
                        iterations=int(out.nit), converged=residual < 1e-8)
 
 
+def _box_digits(resolutions) -> np.ndarray:
+    """The mixed-radix digits (n_d) of n = 0 .. prod R_d - 1, one row per n,
+    the first digit fastest."""
+    rs = [int(r) for r in resolutions]
+    if any(r < 1 for r in rs):
+        raise ValueError("grid resolutions must be >= 1")
+    if math.prod(rs) > 10**7:
+        raise ValueError("grid too large (over 1e7 points)")
+    # np.indices over the reversed radices varies the last axis fastest,
+    # so reversing back puts n_0 first
+    return np.indices(rs[::-1]).reshape(len(rs), -1)[::-1].T
+
+
 def canonical_grid(resolutions) -> PointSet:
     """Tensor grid y^n = (n_d / R_d) with mixed-radix index n.
 
@@ -412,33 +386,16 @@ def canonical_grid(resolutions) -> PointSet:
     exponential sum over the grid vanishes identically.
     """
     rs = [int(r) for r in resolutions]
-    if any(r < 1 for r in rs):
-        raise ValueError("grid resolutions must be >= 1")
-    n_total = math.prod(rs)
-    if n_total > 10**7:
-        raise ValueError("grid too large (over 1e7 points)")
-    # np.indices over the reversed radices varies the last axis fastest,
-    # so reversing back puts n_0 first, the fastest digit of n
-    coords = np.indices(rs[::-1]).reshape(len(rs), -1)[::-1].T / np.array(rs, dtype=float)
-    return PointSet(coords)
+    return PointSet(_box_digits(rs) / np.array(rs, dtype=float))
 
 
 def box_targets(resolutions) -> list[LatticeIndex]:
-    """The nonzero lattice indices of the box 0 <= alpha_d < R_d."""
-    rs = [int(r) for r in resolutions]
-    dim = len(rs)
-    out = []
-    for n in range(math.prod(rs)):
-        rem = n
-        entry = {}
-        for d, r in enumerate(rs):
-            v = rem % r
-            rem //= r
-            if v:
-                entry[d] = v
-        if entry:
-            out.append(LatticeIndex.make(dim, entry))
-    return out
+    """The nonzero lattice indices of the box 0 <= alpha_d < R_d, in the
+    row order of ``canonical_grid``."""
+    digits = _box_digits(resolutions)
+    dim = digits.shape[1]
+    return [LatticeIndex.make(dim, {d: v for d, v in enumerate(row) if v})
+            for row in digits[1:].tolist()]
 
 
 def midpoint_1d(n: int) -> PointSet:

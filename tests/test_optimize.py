@@ -9,10 +9,9 @@ from kerndisc.discrepancy import MonteCarlo, periodic_error, physical_error
 from kerndisc.kernels import (_SERIES_BAND_DOUBLES, FAMILIES, PeriodicKernel, SplineKernel,
                               TransportedKernel, kernel_from_id)
 from kerndisc.lattice import enumerate_decreasing, tail_mass
-from kerndisc.optimize import (_LOGDERIV_DOUBLES, Cond1Problem, OptimizerConfig, box_targets,
-                               build_objective, canonical_grid, cond1_functional,
-                               cond1_gradient, descend_physical, midpoint_1d, optimize_points,
-                               solve_cond1)
+from kerndisc.optimize import (Cond1Problem, OptimizerConfig, box_targets, build_objective,
+                               canonical_grid, cond1_functional, cond1_gradient,
+                               descend_physical, midpoint_1d, optimize_points, solve_cond1)
 from kerndisc.rkhs import PointSet
 from kerndisc.sampling import uniform_points
 
@@ -56,16 +55,17 @@ def dense_periodic_gradient(kernel, y):
 @pytest.mark.parametrize("dim", [1, 2, 8, 128])
 @pytest.mark.parametrize("side", [0, 1])
 def test_periodic_gradient_matches_dense_reference(fam, dim, side):
-    # N = edge is the largest N whose exp/trunc gradient pass is one
-    # column block; mq and gauss run over several row bands at D <= 2
-    n = math.isqrt(_LOGDERIV_DOUBLES // dim) + side
+    # N = isqrt(2^22 / D) + side spans several 128-point tiles (a ragged
+    # last tile at side = 1) for exp and trunc, and several row bands of
+    # the series pass for mq and gauss at D <= 2
+    n = math.isqrt(2**22 // dim) + side
     k = PeriodicKernel(fam, dim)
     y = np.random.default_rng(31 * dim + side).random((n, dim))
-    widths = []
+    shapes = []
     block_fn = k.factor_logderiv_block
 
     def recorded(setup, d, rows, cols):
-        widths.append(cols.stop - cols.start)
+        shapes.append((rows.stop - rows.start, cols.stop - cols.start))
         return block_fn(setup, d, rows, cols)
 
     k.factor_logderiv_block = recorded
@@ -77,20 +77,36 @@ def test_periodic_gradient_matches_dense_reference(fam, dim, side):
     finally:
         tracemalloc.stop()
     if k.record.log_series is None:
-        # the D log-derivative blocks of a column block hold <= 2^22 doubles
-        assert dim * n * max(widths) <= _LOGDERIV_DOUBLES
-        assert (len(widths) > dim) == bool(side)
+        # one block per dimension for each 128 x 128 tile on or above the
+        # diagonal; the D ratio tiles of one tile, the Gram tile and the
+        # temporaries of one block, next to O(N D) per-point arrays
+        tiles = -(-n // 128)
+        assert max(max(shape) for shape in shapes) <= 128
+        assert len(shapes) == dim * tiles * (tiles + 1) // 2
+        assert peak <= (dim + 3) * min(n, 128) ** 2 * 8 + 32 * n * dim
     else:
         # one series pass and no tiles: its N x D x K complex features and
         # the (rows, 2DK) temporaries of a band stay within four times the
         # features, next to one band of <= 2^20 kernel entries (the full
         # N x N matrix, 34 MB at N = 2048, would not fit)
-        assert widths == []
+        assert shapes == []
         features = 16 * n * dim * len(k.record.log_series[1])
         assert peak <= 8 * _SERIES_BAND_DOUBLES + 4 * features
     ref = dense_periodic_gradient(k, y)
     assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert value == pytest.approx(k.pair_mean(y) - 1.0, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("fam", ["exp", "trunc"])
+@pytest.mark.parametrize("n, dim", [(16, 1), (64, 8), (200, 3), (300, 2)])
+def test_tile_fused_value_equals_pair_mean(fam, n, dim):
+    # the descent's value comes from the same tiles, multiplied in the
+    # same order, as the Gram mean that scores the points
+    k = PeriodicKernel(fam, dim)
+    y = np.random.default_rng(n + dim).random((n, dim))
+    obj = build_objective(k, n)
+    assert obj.grad(y)[0] == k.pair_mean(y) - 1.0
+    assert obj.fun(y) == k.pair_mean(y) - 1.0
 
 
 def test_trunc_gradient_finite_at_half_spacing():
@@ -116,6 +132,36 @@ def test_spline_gradient_matches_fd():
             i, d = rng.integers(9), rng.integers(dim)
             fd = central_difference(obj.fun, y, i, d)
             assert g[i, d] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+
+
+def test_spline_gradient_on_the_faces():
+    # coordinates exactly at 0 and 1 zero some factors y - y^2, so the
+    # leave-one-out products cannot come from dividing the full product
+    n, dim = 7, 5
+    rng = np.random.default_rng(5)
+    y = rng.random((n, dim))
+    y[rng.random((n, dim)) < 0.3] = 0.0
+    y[rng.random((n, dim)) < 0.2] = 1.0
+    y[0, 1] = 0.0
+    y[3, 4] = 1.0
+    _, g = build_objective(SplineKernel(dim), n).grad(y)
+    # dense reference: the off-diagonal Gram pairs, then the diagonal
+    # entries prod (y - y^2) and the single integrals prod y(1 - y)/2
+    factor = np.minimum(y[:, None, :], y[None, :, :]) - y[:, None, :] * y[None, :, :]
+    prime = (y[:, None, :] < y[None, :, :]).astype(float) - y[None, :, :]
+    ref = np.zeros((n, dim))
+    base = y - y * y
+    for i in range(n):
+        for d in range(dim):
+            for j in range(n):
+                if j != i:
+                    ref[i, d] += 2.0 * prime[i, j, d] * np.prod(np.delete(factor[i, j], d))
+            others = np.prod(np.delete(base[i], d))
+            ref[i, d] /= n * n
+            ref[i, d] += (1.0 - 2.0 * y[i, d]) * others / (n * n)
+            ref[i, d] -= (1.0 - 2.0 * y[i, d]) * np.prod(np.delete(base[i] / 2.0, d)) / n
+    assert np.any(g != 0.0)
+    assert np.allclose(g, ref, rtol=1e-13, atol=1e-16)
 
 
 @pytest.mark.parametrize("fam", FAMILIES)
@@ -244,6 +290,13 @@ def test_canonical_grid_construction():
         canonical_grid([4000, 3000])
 
 
+@pytest.mark.parametrize("rs", [[4], [3, 2], [4, 4], [1, 3]])
+def test_box_targets_are_the_nonzero_grid_digits(rs):
+    digits = np.rint(canonical_grid(rs).coords * rs).astype(int)
+    nonzero = [row for row in digits.tolist() if any(row)]
+    assert [list(t.dense()) for t in box_targets(rs)] == nonzero
+
+
 def test_canonical_grid_annihilates_box():
     for res in ([4], [2, 2], [3, 2], [4, 4]):
         grid = canonical_grid(res)
@@ -357,6 +410,10 @@ def test_size_guards_refuse_before_allocating(capsys):
     # features, refused before the descent starts, and by the CLI with exit 2
     with pytest.raises(ValueError, match="GiB"):
         build_objective(PeriodicKernel("gauss", 1), 2**21)
+    # per-exp at D = 2^14: the 2^14 log-derivative tiles of one 128 x 128
+    # tile would hold 2 GiB
+    with pytest.raises(ValueError, match="GiB"):
+        build_objective(PeriodicKernel("exp", 2**14), 256)
     assert cli.main(["points", "--kernel", "per-gauss", "--mode", "optimized",
                      "--N", str(2**21), "--D", "1"]) == 2
     assert "GiB" in capsys.readouterr().err
