@@ -14,8 +14,8 @@ from .kernels import (FAMILIES, Kernel, PeriodicKernel, SeedKernel, SplineKernel
 from .lattice import (CoefficientProfile, LatticeIndex, LatticeTerm, asymptotic_discrepancy,
                       enumerate_decreasing, partial_sum, tail_mass)
 from .optimize import (Cond1Problem, Cond1Result, OptimizerConfig, box_targets, canonical_grid,
-                       cond1_functional, cond1_gradient, descend_physical, midpoint_1d,
-                       optimize_points, solve_cond1)
+                       cond1_functional, cond1_gradient, descend_physical, lattice_points,
+                       midpoint_1d, optimize_points, solve_cond1)
 from .rkhs import (GramMatrix, NormParams, PointSet, SingularGramError, SplineEigenBasis,
                    discrete_norm, gram, partition_of_unity, project, spline_eigen)
 from .sampling import MT19937, cell_seed, uniform_points

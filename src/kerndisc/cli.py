@@ -68,9 +68,8 @@ def _optimized_cell(kernel, n: int, seed: int,
                     max_iters: int | None) -> tuple[float, bool, dict]:
     config = OptimizerConfig() if max_iters is None else OptimizerConfig(max_iterations=max_iters)
     points, report, info = optimize_points(kernel, n, seed, config)
-    failed = info.get("descent_stopped_by") == "stalled"
-    if isinstance(kernel, PeriodicKernel) and "cond1_residual" in info:
-        failed = failed and info["cond1_residual"] >= 1e-8
+    # flagged when the returned points are those of a stalled descent
+    failed = info["stage"] == "descent" and info["descent_stopped_by"] == "stalled"
     return report.value, failed, info
 
 
@@ -162,9 +161,8 @@ def cmd_points(args) -> int:
         out.write(f"# kernel: {args.kernel}\n")
         out.write(f"# N: {args.N_single}\n# D: {args.D_single}\n# seed: {seed}\n")
         out.write(f"# E: {report.value:.17g}\n# method: {report.method}\n")
-        for key in ("descent_iterations", "descent_stopped_by", "cond1_residual"):
-            if key in info:
-                out.write(f"# {key}: {info[key]}\n")
+        for key in ("descent_iterations", "descent_stopped_by", "stage"):
+            out.write(f"# {key}: {info[key]}\n")
     else:
         raise ValueError(f"points mode must be random or optimized, not {args.mode!r}")
     out.write(",".join(f"x{d}" for d in range(args.D_single)) + "\n")

@@ -14,6 +14,7 @@ coefficient profile alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -47,10 +48,10 @@ MAX_ARRAY_BYTES = 2**30
 
 
 def check_array_bytes(count: int, itemsize: int, what: str) -> None:
-    """Refuse, before allocating, an array of ``count`` items above MAX_ARRAY_BYTES."""
+    """Refuse, before allocating, ``count`` items above MAX_ARRAY_BYTES, named by ``what``."""
     if count * itemsize > MAX_ARRAY_BYTES:
         raise ValueError(f"{what} would need {count * itemsize / 2**30:.1f} GiB "
-                         f"in one array (limit {MAX_ARRAY_BYTES / 2**30:.0f} GiB)")
+                         f"(limit {MAX_ARRAY_BYTES / 2**30:.0f} GiB)")
 
 
 class UnsupportedMethodError(ValueError):
@@ -156,7 +157,7 @@ def _physical_error_mc(kernel: Kernel, points: PointSet, mc: MonteCarlo) -> Disc
     row, so the block size does not change a digit of the result.
     """
     m, n, dim = mc.samples, points.n, points.dim
-    check_array_bytes(m * dim, 8, f"{m} MC samples at D={dim}")
+    check_array_bytes(m * dim, 8, f"the array of {m} MC samples at D={dim}")
     gen = MT19937(mc.seed)
     a, b = (gen.random(m * dim).reshape(m, dim) for _ in range(2))
     y = kernel.map_points(points.coords)
@@ -218,7 +219,7 @@ def periodic_error_sp(kernel: PeriodicKernel, points: PointSet, params: NormPara
     count = n_terms if n_terms is not None else 10 * points.n
     if count < 1:
         raise ValueError("n_terms must be >= 1")
-    check_array_bytes(points.n * count, 16, f"the phases of {count} terms at N={points.n}")
+    check_array_bytes(points.n * count, 16, f"the phase array of {count} terms at N={points.n}")
     # one term past the cut: the terms tied with it are dropped
     terms = lattice.enumerate_decreasing(kernel.profile, count + 2)
     while count and terms[count].coefficient == terms[-1].coefficient:
@@ -250,13 +251,6 @@ def periodic_error_sp(kernel: PeriodicKernel, points: PointSet, params: NormPara
     )
 
 
-def _spline_coeffs_1d(points: PointSet, max_index: int) -> np.ndarray:
-    i = np.arange(1, max_index + 1, dtype=float)
-    integ = math.sqrt(2.0) * (1.0 - np.cos(i * math.pi)) / (i * math.pi)
-    means = math.sqrt(2.0) * np.sin(np.outer(i, math.pi * points.coords[:, 0])).mean(axis=1)
-    return integ - means
-
-
 def spectral_error(points: PointSet, params: NormParams | None = None,
                    max_index: int = 10_000,
                    exact_tail_period: int | None = None) -> DiscrepancyReport:
@@ -282,28 +276,22 @@ def spectral_error(points: PointSet, params: NormParams | None = None,
     params = params or NormParams(1.0, 2.0)
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
-    dim = points.dim
+    n, dim, m = points.n, points.dim, max_index
     pconj = params.p_conjugate
-    if dim == 1:
-        c = _spline_coeffs_1d(points, max_index)
-        i = np.arange(1, max_index + 1, dtype=float)
-        lam = 1.0 / (i * math.pi) ** 2
-    else:
-        if max_index ** dim > 4_000_000:
-            raise ValueError("spectral grid too large; reduce max_index")
-        axes = [np.arange(1, max_index + 1)] * dim
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-        lam = np.prod(1.0 / (grid * math.pi) ** 2, axis=1)
-        integ = np.prod(math.sqrt(2.0) * (1.0 - np.cos(grid * math.pi)) / (grid * math.pi), axis=1)
-        # evaluate prod_d sqrt(2) sin(a_d pi y_d) summed over points
-        acc = np.zeros(grid.shape[0])
-        for n in range(points.n):
-            term = np.ones(grid.shape[0])
-            for d in range(dim):
-                term *= math.sqrt(2.0) * np.sin(grid[:, d] * math.pi * points.coords[n, d])
-            acc += term
-        means = acc / points.n
-        c = integ - means
+    # lambda, the integrals and the point means are tensor products of 1-D
+    # arrays in i = 1 .. max_index, the first dimension slowest; lambda, c
+    # and two temporaries of the weighted sum are held at once
+    check_array_bytes(4 * m**dim, 8, f"spectral grid too large: 4 arrays of {m}^{dim}")
+    check_array_bytes(n * m ** (dim - 1), 8, f"the prefix products, {n} x {m}^{dim - 1}")
+    i = np.arange(1, m + 1, dtype=float)
+    lam = functools.reduce(np.multiply.outer, [1.0 / (i * math.pi) ** 2] * dim).ravel()
+    integ = math.sqrt(2.0) * (1.0 - np.cos(i * math.pi)) / (i * math.pi)
+    waves = math.sqrt(2.0) * np.sin(np.multiply.outer(math.pi * points.coords, i))  # (N, D, M)
+    prefix = np.ones((n, 1))
+    for d in range(dim - 1):
+        prefix = (prefix[:, :, None] * waves[:, d, None, :]).reshape(n, -1)
+    means = (prefix.T @ waves[:, -1]).ravel() / n
+    c = functools.reduce(np.multiply.outer, [integ] * dim).ravel() - means
     if pconj == math.inf:
         value = float(np.max(lam ** (params.s / 2.0) * np.abs(c)))
         head = value

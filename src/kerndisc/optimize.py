@@ -1,5 +1,6 @@
-"""Point-set optimization: L-BFGS-B descent on E^2, the exponential-sum
-annihilation system, canonical grids, and the 1-D closed form.
+"""Point-set optimization: L-BFGS-B descent on E^2, closed-form candidates
+(the CBC rank-1 lattice, the 1-D midpoints), canonical grids, and the
+exponential-sum annihilation system.
 
 Descent minimizes the squared discrepancy directly (for periodic kernels
 the constant integral terms drop, leaving the mean of the Gram matrix)
@@ -11,9 +12,8 @@ gradient keeps prefix and suffix products.  The transported objective is
 E^2 itself, from the exact integrals of ``TransportedKernel`` and the
 Gram mean, in the transported coordinates u = S(x).  The annihilation
 system drives I(Y) = sum_n |sum_m exp(2 i pi <y^m, alpha^n>)|^2 to zero
-over a target set of nonzero lattice indices, taking the value and the
-gradient from one set of exponentials per evaluation; its residual
-I(Y)/N^2 bounds the discrepancy head, leaving only the coefficient tail.
+over a target set of nonzero lattice indices; its residual I(Y)/N^2
+bounds the discrepancy head, leaving only the coefficient tail.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize as _sciopt
 
-from . import lattice
 from .discrepancy import DiscrepancyReport, check_array_bytes, periodic_error, physical_error
 from .kernels import _GRAM_TILE, Kernel, PeriodicKernel, SplineKernel, TransportedKernel
 from .lattice import LatticeIndex
@@ -43,6 +42,7 @@ __all__ = [
     "canonical_grid",
     "box_targets",
     "midpoint_1d",
+    "lattice_points",
     "optimize_points",
 ]
 
@@ -132,13 +132,14 @@ def _tensor_pair_grad(n: int, dim: int, factor_fn, prime_fn) -> tuple[float, np.
 
 
 def _periodic_objective(kernel: PeriodicKernel, n: int) -> _Objective:
-    series, what = kernel.record.log_series, f"of {n} points at D={kernel.dim}"
+    series, dim, what = kernel.record.log_series, kernel.dim, f"for {n} points at D={kernel.dim}"
     # refused up front: the series pass's N x D x K complex features, or
     # the D chi'/chi tiles that the tile pass holds at once
     if series is not None:
-        check_array_bytes(n * kernel.dim * len(series[1]), 16, f"the log-series features {what}")
+        check_array_bytes(n * dim * len(series[1]), 16, f"the log-series feature array {what}")
     else:
-        check_array_bytes(kernel.dim * min(n, _GRAM_TILE) ** 2, 8, f"the chi'/chi tiles {what}")
+        check_array_bytes(dim * min(n, _GRAM_TILE) ** 2, 8,
+                          f"the {dim} chi'/chi tiles held at once {what}")
 
     def fun(y: np.ndarray) -> float:
         return kernel.pair_mean(y) - 1.0
@@ -216,6 +217,12 @@ def build_objective(kernel: Kernel, n: int) -> _Objective:
     raise ValueError(f"no descent objective for kernel {kernel.kernel_id!r}")
 
 
+def _exact_report(kernel: Kernel, points: PointSet) -> DiscrepancyReport:
+    if isinstance(kernel, PeriodicKernel):
+        return periodic_error(kernel, points)
+    return physical_error(kernel, points, "exact")
+
+
 def descend_physical(kernel: Kernel, start: PointSet,
                      config: OptimizerConfig | None = None,
                      ) -> tuple[PointSet, DiscrepancyReport, DescentTrace]:
@@ -259,9 +266,7 @@ def descend_physical(kernel: Kernel, start: PointSet,
     )
     trace.stopped_by = _STOPPED_BY.get(out.status, "stalled")
     points = PointSet(obj.points(out.x.reshape(shape)))
-    if isinstance(kernel, PeriodicKernel):
-        return points, periodic_error(kernel, points), trace
-    return points, physical_error(kernel, points, "exact"), trace
+    return points, _exact_report(kernel, points), trace
 
 
 # exponential-sum annihilation -------------------------------------------------
@@ -307,7 +312,8 @@ def _cond1_terms(problem: Cond1Problem, y: np.ndarray) -> tuple[np.ndarray, np.n
     """The (points, targets) exponentials e and their sums s over the points."""
     # the (points, targets) complex arrays of the sums and the gradient
     check_array_bytes(y.shape[0] * problem.targets.shape[0], 16,
-                      f"{y.shape[0]} points x {problem.targets.shape[0]} cond1 targets")
+                      f"the exponential array of {y.shape[0]} points x "
+                      f"{problem.targets.shape[0]} cond1 targets")
     phases = 2.0 * math.pi * (y @ problem.targets.T)
     e = np.exp(1j * phases)
     return e, e.sum(axis=0)
@@ -405,9 +411,25 @@ def midpoint_1d(n: int) -> PointSet:
     return PointSet(((2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)).reshape(-1, 1))
 
 
-def _cond1_targets_for(kernel: PeriodicKernel, n: int) -> Cond1Problem:
-    terms = lattice.enumerate_decreasing(kernel.profile, n + 1)
-    return Cond1Problem.from_indices([t.index for t in terms[1:]], kernel.dim)
+def lattice_points(kernel: PeriodicKernel, n: int) -> PointSet:
+    """The rank-1 lattice y_k = frac(k z / N), k < N, with z chosen component
+    by component (CBC; Sloan & Reztsov 2002; Dick, Kuo & Sloan 2013).
+
+    A lattice's Gram mean is (1/N) sum_k prod_d chi(k z_d / N), E^2 + 1, as
+    every difference of two lattice points is a lattice point.  z_0 = 1, and
+    each next z_d is the residue coprime to N that minimizes it over the
+    first d + 1 coordinates: one mat-vec of the |residues| x N table of
+    chi((c k) mod N / N) with the running product.
+    """
+    residues = np.array([c for c in range(1, max(n, 2)) if math.gcd(c, n) == 1])
+    check_array_bytes(len(residues) * n, 8, f"the {len(residues)} x {n} factor table")
+    table = kernel.factor(np.outer(residues, np.arange(n)) % n / n)
+    z, running = [1], table[0]
+    for _ in range(1, kernel.dim):
+        best = int(np.argmin(table @ running))
+        z.append(int(residues[best]))
+        running = running * table[best]
+    return PointSet(np.outer(np.arange(n), z) % n / n)
 
 
 def optimize_points(kernel: Kernel, n: int, seed: int,
@@ -415,33 +437,25 @@ def optimize_points(kernel: Kernel, n: int, seed: int,
                     ) -> tuple[PointSet, DiscrepancyReport, dict]:
     """The full optimized-points pipeline for one table cell.
 
-    Random start, L-BFGS-B descent, then (periodic kernels) refinement by
-    the annihilation system over the N largest nonzero-coefficient
-    indices, keeping whichever point set scores better.  The report is
-    exact for every kernel: ``periodic_error`` or ``physical_error(...,
-    "exact")``.
+    L-BFGS-B descent from random points, and one closed-form candidate,
+    built first (an oversized request is refused before the descent): the
+    CBC lattice for a periodic kernel, the midpoints for the 1-D spline
+    (descent lands on an arbitrary shift of that optimum).  The candidate
+    is kept when no worse than the descent within 1e-14; ``info["stage"]``
+    names the winner, "descent", "lattice" or "midpoints".  The report is
+    exact: ``periodic_error`` or ``physical_error(..., "exact")``.
     """
     config = config or OptimizerConfig()
-    start = uniform_points(seed, n, kernel.dim)
-    info: dict = {"seed": seed}
-    points, report, trace = descend_physical(kernel, start, config)
-    info["descent_iterations"] = trace.iterations
-    info["descent_stopped_by"] = trace.stopped_by
-
-    if isinstance(kernel, SplineKernel) and kernel.dim == 1:
-        # the 1-D optimum is the equally-spaced family; descent lands on
-        # an arbitrary shift of it, so prefer the symmetric representative
-        mids = midpoint_1d(n)
-        mid_rep = physical_error(kernel, mids, "exact")
-        if mid_rep.value <= report.value + 1e-14:
-            points, report = mids, mid_rep
-
-    if isinstance(kernel, PeriodicKernel) and n > 1:
-        problem = _cond1_targets_for(kernel, n)
-        refined = solve_cond1(problem, points, config)
-        info["cond1_residual"] = refined.residual
-        candidate = periodic_error(kernel, refined.points)
-        if candidate.value < report.value:
-            points, report = refined.points, candidate
-
+    stage, candidate = None, None
+    if isinstance(kernel, PeriodicKernel):
+        stage, candidate = "lattice", lattice_points(kernel, n)
+    elif isinstance(kernel, SplineKernel) and kernel.dim == 1:
+        stage, candidate = "midpoints", midpoint_1d(n)
+    points, report, trace = descend_physical(kernel, uniform_points(seed, n, kernel.dim), config)
+    info = {"seed": seed, "descent_iterations": trace.iterations,
+            "descent_stopped_by": trace.stopped_by, "stage": "descent"}
+    if candidate is not None:
+        scored = _exact_report(kernel, candidate)
+        if scored.value <= report.value + 1e-14:
+            points, report, info["stage"] = candidate, scored, stage
     return points, report, info

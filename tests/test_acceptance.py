@@ -137,8 +137,8 @@ def test_criterion_3_random_baseline_statistics():
 def test_criterion_4_optimized_beats_random():
     t0 = time.time()
     # 300 L-BFGS-B descent iterations suffice: the smooth kernels often
-    # reach the cap still improving, but the annihilation refinement does
-    # the deep reduction and the margins over random are wide
+    # reach the cap still improving, but the margins over random are wide,
+    # and the CBC lattice candidate is the exact equispaced optimum at D = 1
     config = OptimizerConfig(max_iterations=300)
     failures = []
     exp_d1 = {}

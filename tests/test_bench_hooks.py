@@ -42,10 +42,21 @@ def test_tracer_hooks_run_and_uninstall(capsys):
                          "--threads", "1", "--mc-samples", "1024"]) == 0
         assert cli.main(["points", "--kernel", "per-exp", "--mode", "optimized",
                          "--N", "8", "--D", "1", "--max-iters", "20"]) == 0
-        # the cond1 targets come from lattice.enumerate_decreasing, by name
+        # the optimized cell's lattice candidate builds its factor table
+        # through the scalar PeriodicKernel.factor
         lattice_metrics = tracer.metrics(rounds=1)
-        assert lattice_metrics["lattice.enumerate.calls"]["value"] > 0
-        assert lattice_metrics["lattice.enumerate.terms"]["value"] > 0
+        assert lattice_metrics["kernels.factor.exp.ns_per_element"]["value"] > 0
+        # no pipeline path reaches enumerate_decreasing or solve_cond1, so
+        # both are called through their module attributes to check the hooks
+        profile = kernels.PeriodicKernel("mq", 2).profile
+        terms = lattice.enumerate_decreasing(profile, 9)
+        problem = optimize.Cond1Problem.from_indices([t.index for t in terms[1:]], 2)
+        optimize.solve_cond1(problem, sampling.uniform_points(3, 8, 2),
+                             optimize.OptimizerConfig(max_iterations=20))
+        lattice_metrics = tracer.metrics(rounds=1)
+        assert lattice_metrics["lattice.enumerate.calls"]["value"] == 1
+        assert lattice_metrics["lattice.enumerate.terms"]["value"] == 9
+        assert lattice_metrics["optimize.cond1.calls"]["value"] == 1
         # the per-gauss descent takes the log-series route, and the tracer
         # still counts its evaluations through the objective's grad
         assert cli.main(["points", "--kernel", "per-gauss", "--mode", "optimized",

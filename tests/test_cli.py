@@ -140,6 +140,7 @@ def test_points_optimized_metadata_and_consistency(tmp_path):
     lines = out_file.read_text().splitlines()
     meta = [line for line in lines if line.startswith("#")]
     assert any(line.startswith("# E:") for line in meta)
+    assert any(line in ("# stage: descent", "# stage: lattice") for line in meta)
     header_at = next(i for i, line in enumerate(lines) if line == "x0,x1")
     coords = np.array([[float(v) for v in line.split(",")]
                        for line in lines[header_at + 1:]])
@@ -215,6 +216,29 @@ def test_table_optimized_small_cell():
     row = [line for line in out.splitlines() if line.startswith("16,1")][0]
     value = float(row.split(",")[3])
     assert value == pytest.approx(1 / 16, rel=0.02)
+
+
+def test_flag_marks_points_from_a_stalled_descent(monkeypatch):
+    import kerndisc.optimize as op
+    from kerndisc.cli import _optimized_cell
+    from kerndisc.kernels import kernel_from_id
+
+    real = op.descend_physical
+
+    def stalled(*args, **kwargs):
+        points, report, trace = real(*args, **kwargs)
+        trace.stopped_by = "stalled"
+        return points, report, trace
+
+    monkeypatch.setattr(op, "descend_physical", stalled)
+    cells = {}
+    for kernel_id, n, d in (("per-exp", 16, 2), ("per-gauss", 16, 8), ("tra-gauss", 8, 2)):
+        _, failed, info = _optimized_cell(kernel_from_id(kernel_id, d), n, 7, 100)
+        cells[kernel_id] = (info["stage"], failed)
+    # the lattice beats the per-exp descent, and the per-gauss descent
+    # beats the lattice; a tra-* cell has no closed-form candidate
+    assert cells == {"per-exp": ("lattice", False), "per-gauss": ("descent", True),
+                     "tra-gauss": ("descent", True)}
 
 
 def test_unwritable_out_path_is_validation_error(tmp_path):

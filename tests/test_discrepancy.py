@@ -214,6 +214,28 @@ def test_spectral_2d_truncation():
         spectral_error(pts, NormParams(1, 2), max_index=10_000)
 
 
+@pytest.mark.parametrize("dim, max_index", ((2, 40), (3, 12)))
+def test_spectral_tensor_path_matches_per_point_loop(dim, max_index):
+    # the coefficients summed point by point over the index grid, first
+    # dimension slowest
+    pts = uniform_points(17, 9, dim)
+    grid = np.array(list(itertools.product(range(1, max_index + 1), repeat=dim)), dtype=float)
+    lam = np.prod(1.0 / (grid * math.pi) ** 2, axis=1)
+    integ = np.prod(math.sqrt(2.0) * (1.0 - np.cos(grid * math.pi)) / (grid * math.pi), axis=1)
+    acc = np.zeros(len(grid))
+    for y in pts.coords:
+        acc += np.prod(math.sqrt(2.0) * np.sin(grid * math.pi * y), axis=1)
+    c = integ - acc / pts.n
+    for params in (NormParams(1, 2), NormParams(2, 3), NormParams(1, 1)):
+        spec = spectral_error(pts, params, max_index)
+        pconj = params.p_conjugate
+        if pconj == math.inf:
+            ref = np.max(lam ** (params.s / 2) * np.abs(c))
+        else:
+            ref = np.sum(lam ** (params.s * pconj / 2) * np.abs(c) ** pconj) ** (1 / pconj)
+        assert spec.value == pytest.approx(ref, rel=1e-13)
+
+
 def test_asymptotic_error_reports():
     rep = asymptotic_error("mq", 16, dim=1)
     assert rep.value == pytest.approx(0.004, abs=0.0015)

@@ -11,7 +11,8 @@ from kerndisc.kernels import (_SERIES_BAND_DOUBLES, FAMILIES, PeriodicKernel, Sp
 from kerndisc.lattice import enumerate_decreasing, tail_mass
 from kerndisc.optimize import (Cond1Problem, OptimizerConfig, box_targets, build_objective,
                                canonical_grid, cond1_functional, cond1_gradient,
-                               descend_physical, midpoint_1d, optimize_points, solve_cond1)
+                               descend_physical, lattice_points, midpoint_1d, optimize_points,
+                               solve_cond1)
 from kerndisc.rkhs import PointSet
 from kerndisc.sampling import uniform_points
 
@@ -370,6 +371,45 @@ def test_optimize_points_exponential_1d_rate():
     assert rep.value == pytest.approx(1.0 / 16.0, rel=0.02)
 
 
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_lattice_points_in_one_dimension_are_the_equispaced_grid(fam):
+    for n in (1, 7, 16, 64):
+        pts = lattice_points(PeriodicKernel(fam, 1), n)
+        assert np.array_equal(np.sort(pts.coords[:, 0]), np.arange(n) / n)
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_lattice_generator_is_coprime(fam):
+    for n, dim in ((12, 8), (30, 5), (64, 8), (97, 3)):
+        coords = lattice_points(PeriodicKernel(fam, dim), n).coords
+        z = np.rint(coords[1] * n).astype(int)  # row k = 1 is z / N
+        assert z[0] == 1 and all(math.gcd(int(c), n) == 1 for c in z)
+        assert np.array_equal(coords, np.outer(np.arange(n), z) % n / n)
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+@pytest.mark.parametrize("n", (12, 16))
+def test_lattice_second_component_minimizes_periodic_error(fam, n):
+    # the Gram-mean error of every candidate lattice, apart from the
+    # rank-1 factor table the construction uses; z and N - z give the
+    # same lattice, so the choice is one of the tied minimizers
+    kernel = PeriodicKernel(fam, 2)
+    z1 = round(lattice_points(kernel, n).coords[1, 1] * n)
+    errors = {c: periodic_error(kernel, PointSet(np.outer(np.arange(n), [1, c]) % n / n)).value
+              for c in range(1, n) if math.gcd(c, n) == 1}
+    assert errors[z1] <= min(errors.values()) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("n", (16, 64))
+def test_optimized_exp_1d_is_the_equispaced_closed_form(n):
+    # E^2 = a coth a - 1, a = tau / (2N) = sqrt(3) / N, on the grid k / N
+    pts, rep, info = optimize_points(PeriodicKernel("exp", 1), n, seed=n,
+                                     config=OptimizerConfig(max_iterations=300))
+    a = math.sqrt(3.0) / n
+    assert info["stage"] == "lattice"
+    assert rep.value == pytest.approx(math.sqrt(a / math.tanh(a) - 1.0), rel=1e-12)
+
+
 def test_transported_descent_improves():
     k = TransportedKernel("mq", 2)
     start = uniform_points(9, 16, 2)
@@ -411,9 +451,20 @@ def test_size_guards_refuse_before_allocating(capsys):
     with pytest.raises(ValueError, match="GiB"):
         build_objective(PeriodicKernel("gauss", 1), 2**21)
     # per-exp at D = 2^14: the 2^14 log-derivative tiles of one 128 x 128
-    # tile would hold 2 GiB
-    with pytest.raises(ValueError, match="GiB"):
+    # tile would hold 2 GiB together, and the message says so
+    with pytest.raises(ValueError) as refused:
         build_objective(PeriodicKernel("exp", 2**14), 256)
+    assert str(refused.value) == ("the 16384 chi'/chi tiles held at once for 256 points at "
+                                  "D=16384 would need 2.0 GiB (limit 1 GiB)")
+    # 2^16 + 1 (prime) points: a 2^16 x (2^16 + 1) lattice factor table of
+    # 32 GiB, refused before the descent would start
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="GiB"):
+            optimize_points(PeriodicKernel("exp", 1), 2**16 + 1, seed=0)
+        assert tracemalloc.get_traced_memory()[1] < 2**24
+    finally:
+        tracemalloc.stop()
     assert cli.main(["points", "--kernel", "per-gauss", "--mode", "optimized",
                      "--N", str(2**21), "--D", "1"]) == 2
     assert "GiB" in capsys.readouterr().err
